@@ -226,7 +226,19 @@ void Checker::CheckEpoch(uint64_t epoch, std::vector<TxnNode>& nodes) {
   // WR and RW edges from the read observations.
   for (uint32_t i = 0; i < n; ++i) {
     for (const ReadObs& rd : nodes[i].reads) {
-      const uint64_t obs = TidWord::Tid(rd.observed);
+      const std::vector<uint64_t>& tids = versions_[rd.key].tids;
+      uint64_t obs = TidWord::Tid(rd.observed);
+      if (obs == 0 && TidWord::IsAbsent(rd.observed)) {
+        // A fresh record. Once a tombstone is unlinked a later lookup
+        // creates a fresh record for the key, so this absent state is the
+        // key's latest version before the read. Tombstones are unlinked
+        // only after the epoch moved past the delete's, and any version
+        // committed between the read and this commit fails validation, so
+        // that version is the latest one from an epoch before this one.
+        auto before = std::lower_bound(tids.begin(), tids.end(),
+                                       TidWord::Make(epoch, 0));
+        if (before != tids.begin()) obs = *(before - 1);
+      }
       const uint64_t obs_epoch = TidWord::Epoch(obs);
       if (obs != 0 && obs_epoch > epoch) {
         Report(ViolationKind::kFutureRead, epoch, nodes[i],
@@ -235,7 +247,6 @@ void Checker::CheckEpoch(uint64_t epoch, std::vector<TxnNode>& nodes) {
                    std::to_string(obs_epoch));
         continue;
       }
-      const std::vector<uint64_t>& tids = versions_[rd.key].tids;
       auto succ_it = std::upper_bound(tids.begin(), tids.end(), obs);
       const bool found =
           obs != 0 && succ_it != tids.begin() && *(succ_it - 1) == obs;

@@ -53,6 +53,13 @@
 // node-set validation covers them in-process. Tombstone rows visited by
 // scans carry no row image to recover a key from and are likewise digested
 // only via point reads.
+//
+// Unlinked tombstones: once a delete's tombstone is unlinked from its tree,
+// the next insert of the key creates a fresh record whose absent word
+// carries TID 0. Such an observation is resolved to the key's latest
+// version from an epoch before the reader's (the unlinked tombstone's
+// state; see CheckEpoch). The checker does not know which versions are
+// deletes, so it does not verify that the resolved version is one.
 
 #ifndef REACTDB_AUDIT_CHECKER_H_
 #define REACTDB_AUDIT_CHECKER_H_

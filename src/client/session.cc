@@ -303,6 +303,10 @@ void Session::Complete(size_t idx, ProcResult result,
 }
 
 void Session::RunDeliveries() {
+  // Once delivering_ drops the session may be destroyed by its owner
+  // (Drain waits for exactly that), so the final notify must not read
+  // members.
+  RuntimeBase* rt = rt_;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (delivering_) return;  // the active deliverer picks this up
@@ -360,7 +364,7 @@ void Session::RunDeliveries() {
   }
   // Slots freed / cursor advanced: blocked Submit / Wait / Drain callers
   // re-evaluate.
-  rt_->NotifyClientProgress();
+  rt->NotifyClientProgress();
 }
 
 TxnOutcome Session::WaitTicket(uint64_t ticket) {
@@ -443,9 +447,11 @@ TxnOutcome Session::Execute(const std::string& reactor_name,
 }
 
 void Session::Drain() {
+  // Also waits out an active deliverer: it re-locks mu_ after handing a
+  // waiter its outcome, so the session must outlive its loop.
   rt_->ClientWait([this] {
     std::lock_guard<std::mutex> lock(mu_);
-    return InFlightLocked() == 0;
+    return InFlightLocked() == 0 && !delivering_;
   });
 }
 

@@ -215,8 +215,9 @@ class Session {
   TxnOutcome Execute(const std::string& reactor_name,
                      const std::string& proc_name, Row args);
 
-  /// Blocks until no submission is in flight (all delivered). Retained
-  /// unconsumed results remain readable through their futures.
+  /// Blocks until no submission is in flight (all delivered) and no
+  /// delivery pass is still running. Retained unconsumed results remain
+  /// readable through their futures.
   void Drain();
 
   /// Transactions in flight (submitted, not yet delivered).

@@ -84,6 +84,11 @@ Status WriteCheckpoint(RuntimeBase* rt, DurabilityManager* mgr,
     }
   }
   epochs->LeaveEpoch(slot);
+  // A delete committed during the sweep may have been unlinked before the
+  // sweep reached its key, taking its epoch out of sight. Every commit
+  // appends its redo records before its tombstones can be queued, so the
+  // shards' high-water mark covers those deletes too.
+  max_commit_epoch = std::max(max_commit_epoch, mgr->max_appended_epoch());
 
   // Durability fence: every version the sweep captured must be in the
   // durable log before the manifest commits, else a crash could expose a

@@ -556,9 +556,13 @@ void DurabilityManager::StopWriters() {
 }
 
 void DurabilityManager::Kick(bool force) {
+  // Writers wait for a flush request, a stop, or their flush timer; an
+  // unforced kick satisfies none of these, so waking them would only cost
+  // a context switch per commit per container.
+  if (!force) return;
   {
     std::lock_guard<std::mutex> lock(writer_mu_);
-    if (force) flush_requested_ = true;
+    flush_requested_ = true;
   }
   for (auto& cl : logs_) cl->cv.notify_all();
 }

@@ -215,8 +215,9 @@ class DurabilityManager {
   /// Stops and joins the writer threads. No final flush — callers that
   /// want one run FinalFlush() afterwards.
   void StopWriters();
-  /// Wakes the writer threads (thread mode; no-op otherwise). `force`
-  /// requests a flush even when auto_flush is off.
+  /// With `force`, requests a flush (even when auto_flush is off) and wakes
+  /// the writer threads (thread mode). Without it this is a no-op: the
+  /// writers flush on their own timer.
   void Kick(bool force = false);
 
   /// One synchronous flush round over every container, forcing an epoch

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/log/durability.h"
 #include "src/log/log_record.h"
@@ -75,6 +78,36 @@ void RebuildSecondaryIndexes(RuntimeBase* rt) {
   }
 }
 
+/// Unlinks the tombstones replayed deletes left in the primary trees.
+/// Runs after the epoch clock was re-seeded past every recovered TID, so a
+/// later insert of such a key commits above its delete even on a fresh
+/// record; nothing runs concurrently yet, so the records are freed at once.
+void UnlinkReplayedTombstones(RuntimeBase* rt) {
+  std::vector<std::pair<std::string, Record*>> tombstones;
+  for (size_t r = 0; r < rt->num_reactors(); ++r) {
+    Reactor* reactor = rt->FindReactor(ReactorId{static_cast<uint32_t>(r)});
+    if (reactor == nullptr) continue;
+    for (Table* table : reactor->bound_tables()) {
+      if (table == nullptr) continue;
+      table->primary().Scan(
+          "", "", [&tombstones](const std::string& key, Record* rec) {
+            if (TidWord::IsAbsent(rec->tid.load(std::memory_order_relaxed))) {
+              tombstones.emplace_back(key, rec);
+            }
+            return true;
+          });
+      for (auto& [key, rec] : tombstones) {
+        uint64_t word = rec->tid.load(std::memory_order_relaxed);
+        if (table->primary().Unlink(key, rec, word) ==
+            BTree::UnlinkResult::kUnlinked) {
+          delete rec;
+        }
+      }
+      tombstones.clear();
+    }
+  }
+}
+
 }  // namespace
 
 Status Recover(RuntimeBase* rt, DurabilityManager* mgr,
@@ -131,11 +164,13 @@ Status Recover(RuntimeBase* rt, DurabilityManager* mgr,
     }
   }
 
-  // 3 + 4. Index rebuild, then re-seed the epoch clock past everything
-  // recovered so fresh commit TIDs extend the history monotonically.
+  // 3 + 4 + 5. Index rebuild, then re-seed the epoch clock past everything
+  // recovered so fresh commit TIDs extend the history monotonically, then
+  // drop the replayed tombstones.
   RebuildSecondaryIndexes(rt);
   res.max_epoch = std::max(mgr->recovered_max_epoch(), res.durable_epoch);
   rt->epochs()->AdvanceTo(res.max_epoch + 1);
+  UnlinkReplayedTombstones(rt);
 
   if (res.recovered) {
     const double elapsed_ms =

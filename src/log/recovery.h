@@ -1,5 +1,5 @@
 // Crash recovery: checkpoint load + log replay + index rebuild + TID
-// re-seeding.
+// re-seeding + tombstone unlinking.
 //
 // Recover() runs after Bootstrap and before any executor activity, on the
 // opening thread:
@@ -14,7 +14,9 @@
 //   3. rebuilds every secondary index from the recovered primary rows, and
 //   4. re-seeds the epoch clock via EpochManager::AdvanceTo past every
 //      recovered epoch, so new commit TIDs stay strictly monotone over the
-//      recovered history.
+//      recovered history, and
+//   5. unlinks the tombstones that replayed deletes left in the primary
+//      trees (step 4 is what makes that safe; see src/txn/reclaim.h).
 //
 // Failures surface as Status (kIOError for corrupt frames/segments); the
 // caller decides whether to bail out of Database::Open.

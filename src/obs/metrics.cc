@@ -211,7 +211,7 @@ StatsSnapshot MetricsRegistry::Collect() const {
 }
 
 const MetricSample* StatsSnapshot::Find(std::string_view name,
-                                        const Labels& labels) const {
+                                        const Labels& labels) const& {
   for (const MetricSample& s : samples) {
     if (s.name != name) continue;
     bool match = true;

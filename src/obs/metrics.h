@@ -90,9 +90,12 @@ struct StatsSnapshot {
   std::string ToJson() const;
 
   /// First sample matching `name` whose labels contain every pair in
-  /// `labels` (empty = any). Null when absent.
+  /// `labels` (empty = any). Null when absent. The pointer lives as long as
+  /// the snapshot, so finding in a temporary does not compile.
   const MetricSample* Find(std::string_view name,
-                           const Labels& labels = {}) const;
+                           const Labels& labels = {}) const&;
+  const MetricSample* Find(std::string_view name,
+                           const Labels& labels = {}) const&& = delete;
   /// Find().value, or 0 when absent.
   double Value(std::string_view name, const Labels& labels = {}) const;
 };

@@ -67,6 +67,9 @@ Status Select::ForEach(SiloTxn* txn, uint32_t container,
     if (remaining == 0) exhausted = true;
     return keep_going && !exhausted;
   };
+  // Without a predicate every scanned row counts toward the limit, so the
+  // storage scan can size its first candidate chunk from it.
+  const int64_t scan_limit = predicate_.has_value() ? -1 : limit_;
   switch (path_) {
     case AccessPath::kKey: {
       StatusOr<Row> row = txn->Get(table_, key_lo_, container);
@@ -81,14 +84,15 @@ Status Select::ForEach(SiloTxn* txn, uint32_t container,
     }
     case AccessPath::kKeyPrefix:
       return reverse_
-                 ? txn->ReverseScanPrefix(table_, key_lo_, -1, filtered,
-                                          container)
-                 : txn->ScanPrefix(table_, key_lo_, -1, filtered, container);
+                 ? txn->ReverseScanPrefix(table_, key_lo_, scan_limit,
+                                          filtered, container)
+                 : txn->ScanPrefix(table_, key_lo_, scan_limit, filtered,
+                                   container);
     case AccessPath::kKeyRange:
-      return reverse_ ? txn->ReverseScan(table_, key_lo_, key_hi_, -1,
-                                         filtered, container)
-                      : txn->Scan(table_, key_lo_, key_hi_, -1, filtered,
-                                  container);
+      return reverse_ ? txn->ReverseScan(table_, key_lo_, key_hi_,
+                                         scan_limit, filtered, container)
+                      : txn->Scan(table_, key_lo_, key_hi_, scan_limit,
+                                  filtered, container);
     case AccessPath::kIndex: {
       int pos = table_->secondary_pos(index_name_);
       if (pos < 0) {
@@ -103,8 +107,9 @@ Status Select::ForEach(SiloTxn* txn, uint32_t container,
     }
     case AccessPath::kFullScan:
       return reverse_
-                 ? txn->ReverseScan(table_, {}, {}, -1, filtered, container)
-                 : txn->Scan(table_, {}, {}, -1, filtered, container);
+                 ? txn->ReverseScan(table_, {}, {}, scan_limit, filtered,
+                                    container)
+                 : txn->Scan(table_, {}, {}, scan_limit, filtered, container);
   }
   return Status::Internal("bad access path");
 }

@@ -940,6 +940,7 @@ void RuntimeBase::StartRoot(RootTxn* root, Reactor* reactor, const ProcFn* fn,
   // FinalizeRoot releases (resets) it on this same executor.
   root->arena = executors_[executor]->arenas.Acquire();
   root->txn.BindArena(root->arena);
+  root->txn.BindReclaim(&executors_[executor]->reclaim);
   if (durability_ != nullptr) {
     // Commit (and with it the redo append) runs on this executor via
     // FinalizeRoot, so the root logs into this executor's shard.
@@ -1215,8 +1216,16 @@ void RuntimeBase::FinalizeRoot(TxnFrame* root_frame) {
   // FinalizeRoot runs on the root's home executor, the same discipline the
   // arena pool relies on.
   if (root->IsAborted()) {
-    root->txn.Abort();
     Status s = root->AbortStatus();
+    // A terminal-looking abort (a duplicate key, a user check) may have
+    // been computed from reads another commit has since overwritten — two
+    // roots deriving one key from the same counter. If the read or node set
+    // is already stale, the abort is a conflict, and the session retries
+    // it like one.
+    if (!s.IsAborted() && !s.IsDeadlineExceeded() && root->txn.ReadsStale()) {
+      s = Status::Aborted("stale reads behind abort: " + s.ToString());
+    }
+    root->txn.Abort();
     // Abort-reason family members: 0=cc, 1=user, 2=safety, 3=deadline.
     uint32_t reason;
     if (s.IsSafetyAbort()) {
@@ -1324,6 +1333,8 @@ void RuntimeBase::FinalizeRoot(TxnFrame* root_frame) {
   if (finalized_roots_.fetch_add(1, std::memory_order_relaxed) % 64 == 63) {
     epochs_.Advance();
   }
+  ReclaimQueue& reclaim = executors_[executor]->reclaim;
+  if (reclaim.Ready(epochs_.current())) reclaim.Drain(&epochs_);
   if (durability_ != nullptr) {
     // Commits: their redo records reached the executor's shard inside
     // Commit, before the UnpinExecutor above — the ordering the epoch

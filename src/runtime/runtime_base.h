@@ -352,6 +352,10 @@ class RuntimeBase : public CallBridge {
     /// executor, so the pool needs no locking). See ROADMAP "Allocation
     /// discipline".
     ArenaPool arenas;
+    /// Tombstones this executor's commits and aborts left behind, unlinked
+    /// from their trees by FinalizeRoot once the epoch rule allows (see
+    /// src/txn/reclaim.h). Single-threaded like the arena pool.
+    ReclaimQueue reclaim;
   };
 
   // --- Scheduling primitives (subclass-provided) ----------------------------
@@ -402,10 +406,11 @@ class RuntimeBase : public CallBridge {
     PostRoot(executor, std::move(task));
   }
   /// Nudges the durability writers after work was logged (a commit, a
-  /// direct bulk load). ThreadRuntime wakes the per-container writer
-  /// threads; SimRuntime schedules a flush event on the virtual clock.
-  /// `force` requests a flush even with auto_flush off (WaitDurable,
-  /// checkpoint fences).
+  /// direct bulk load). Under ThreadRuntime only a forced kick wakes the
+  /// per-container writer threads (they otherwise flush on their timer);
+  /// SimRuntime schedules a flush event on the virtual clock. `force`
+  /// requests a flush even with auto_flush off (WaitDurable, checkpoint
+  /// fences).
   virtual void KickDurability(bool force = false);
 
   /// Fills one liveness sample per executor for the health watchdog:

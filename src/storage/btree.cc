@@ -28,6 +28,17 @@ void BTree::FreeNode(void* node, int level) {
   delete inner;
 }
 
+BTree::LeafNode* BTree::NewLeaf() {
+  if (!free_leaves_.empty()) {
+    LeafNode* leaf = free_leaves_.back();
+    free_leaves_.pop_back();
+    return leaf;
+  }
+  auto* leaf = new LeafNode();
+  all_leaves_.push_back(leaf);
+  return leaf;
+}
+
 uint64_t BTree::LeafVersion(const LeafNode* leaf) {
   return leaf->version.load(std::memory_order_acquire);
 }
@@ -104,7 +115,7 @@ BTree::SplitInfo BTree::InsertRec(void* node, int level,
       return {};
     }
     // Split: move the upper half into a new right sibling.
-    auto* right = new LeafNode();
+    LeafNode* right = NewLeaf();
     size_t mid = leaf->keys.size() / 2;
     right->keys.assign(leaf->keys.begin() + static_cast<long>(mid),
                        leaf->keys.end());
@@ -119,7 +130,6 @@ BTree::SplitInfo BTree::InsertRec(void* node, int level,
     // Both leaves changed key membership.
     leaf->version.fetch_add(1, std::memory_order_acq_rel);
     right->version.fetch_add(1, std::memory_order_acq_rel);
-    all_leaves_.push_back(right);
     // Fix up result for the inserted key's final location.
     if (pos >= mid) {
       result->leaf = right;
@@ -159,6 +169,79 @@ BTree::SplitInfo BTree::InsertRec(void* node, int level,
   inner->children.resize(mid + 1);
   info.right = right;
   return info;
+}
+
+BTree::UnlinkResult BTree::Unlink(std::string_view key, Record* rec,
+                                  uint64_t expected_word) {
+  std::unique_lock<std::shared_mutex> lock(latch_);
+  LeafNode* leaf = FindLeaf(key);
+  auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
+  if (it == leaf->keys.end() || *it != key) return UnlinkResult::kStale;
+  size_t pos = static_cast<size_t>(it - leaf->keys.begin());
+  if (leaf->records[pos] != rec) return UnlinkResult::kStale;
+  // The CAS both checks the word and publishes the unlinked stamp; a
+  // committer can lock the record only while its word is unlocked, so
+  // after this no install can land on it.
+  uint64_t word = expected_word;
+  if (!rec->tid.compare_exchange_strong(word, TidWord::kUnlinkedWord,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed)) {
+    return TidWord::IsLocked(word) &&
+                   TidWord::WithoutLock(word) == expected_word
+               ? UnlinkResult::kLocked
+               : UnlinkResult::kStale;
+  }
+  leaf->keys.erase(it);
+  leaf->records.erase(leaf->records.begin() + static_cast<long>(pos));
+  leaf->version.fetch_add(1, std::memory_order_acq_rel);
+  size_.fetch_sub(1, std::memory_order_relaxed);
+  if (leaf->keys.empty()) DetachEmptyLeaf(leaf, key);
+  return UnlinkResult::kUnlinked;
+}
+
+void BTree::DetachEmptyLeaf(LeafNode* leaf, std::string_view key) {
+  if (height_ == 0) return;  // the root leaf stays, even when empty
+  // Path from the root to `leaf`: (inner node, child index) per level.
+  std::vector<std::pair<InnerNode*, size_t>> path;
+  path.reserve(static_cast<size_t>(height_));
+  void* node = root_;
+  for (int level = height_; level > 0; --level) {
+    auto* inner = static_cast<InnerNode*>(node);
+    size_t idx = static_cast<size_t>(
+        std::upper_bound(inner->keys.begin(), inner->keys.end(), key) -
+        inner->keys.begin());
+    path.emplace_back(inner, idx);
+    node = inner->children[idx];
+  }
+  // The lowest ancestor with a sibling subtree drops the child on the
+  // path; every inner node below it has the empty leaf as its only
+  // descendant and goes with it. Without such an ancestor this is the
+  // only leaf, which stays.
+  size_t keep = path.size();
+  while (keep > 0 && path[keep - 1].first->children.size() < 2) --keep;
+  if (keep == 0) return;
+  auto [parent, idx] = path[keep - 1];
+  // Dropping children[idx] with its left separator (or the right one for
+  // child 0) hands its key range to the neighbor that keeps routing it.
+  parent->keys.erase(parent->keys.begin() +
+                     static_cast<long>(idx > 0 ? idx - 1 : 0));
+  parent->children.erase(parent->children.begin() + static_cast<long>(idx));
+  for (size_t i = keep; i < path.size(); ++i) delete path[i].first;
+  if (leaf->prev != nullptr) leaf->prev->next = leaf->next;
+  if (leaf->next != nullptr) leaf->next->prev = leaf->prev;
+  if (head_ == leaf) head_ = leaf->next;
+  leaf->prev = nullptr;
+  leaf->next = nullptr;
+  leaf->version.fetch_add(1, std::memory_order_acq_rel);
+  free_leaves_.push_back(leaf);
+  // Collapse single-child roots so lookups do not descend empty levels.
+  while (height_ > 0 &&
+         static_cast<InnerNode*>(root_)->children.size() == 1) {
+    auto* old_root = static_cast<InnerNode*>(root_);
+    root_ = old_root->children.front();
+    delete old_root;
+    --height_;
+  }
 }
 
 void BTree::Scan(std::string_view lo, std::string_view hi,

@@ -2,16 +2,25 @@
 //
 // Concurrency model:
 //  * Structural reads (point lookups, scans) take a shared latch; structural
-//    writes (inserts of new keys, splits) take an exclusive latch. Record
-//    *contents* are protected by the per-record TID protocol, not the latch.
-//  * Each leaf carries a version counter bumped on any key insertion or
-//    split affecting it. OCC transactions record (leaf, version) pairs in
-//    their node set during scans and on lookup misses; validation re-checks
-//    the versions, which yields phantom protection exactly as in Silo.
-//  * Keys are never physically removed (deletes leave absent-bit tombstone
-//    records), so leaves are stable memory for the tree's lifetime and node
-//    set pointers remain valid after the latch is dropped.
-
+//    writes (inserts of new keys, splits, unlinks) take an exclusive latch.
+//    Record *contents* are protected by the per-record TID protocol, not the
+//    latch.
+//  * Each leaf carries a version counter bumped on any change of its key
+//    membership (insert, unlink, split, detach). OCC transactions record
+//    (leaf, version) pairs in their node set during scans and on lookup
+//    misses; validation re-checks the versions, which yields phantom
+//    protection exactly as in Silo.
+//  * Deletes leave absent-bit tombstone records; Unlink later removes a
+//    tombstone's key physically (the transaction layer decides when that is
+//    safe, see SiloTxn and ReclaimQueue). The unlinked Record is stamped
+//    with TidWord::kUnlinkedWord and handed back to the caller, which
+//    retires it through the epoch manager: transactions that still hold the
+//    pointer read a stable "unlinked" word and abort at validation.
+//  * A leaf that becomes empty is detached from the tree and kept on a free
+//    list for reuse by later splits. Leaf memory is never freed before the
+//    tree's destructor and versions only ever grow, so node-set pointers
+//    stay dereferenceable after the latch is dropped and a recycled leaf
+//    always fails the validation of a node set that saw its earlier life.
 #ifndef REACTDB_STORAGE_BTREE_H_
 #define REACTDB_STORAGE_BTREE_H_
 
@@ -83,10 +92,26 @@ class BTree {
                    const ScanCallback& cb,
                    const NodeCallback& node_cb = nullptr) const;
 
+  /// Outcome of Unlink.
+  enum class UnlinkResult : uint8_t {
+    kUnlinked,  // key removed; `rec` now holds kUnlinkedWord
+    kStale,     // key gone, mapped to another record, or word changed
+    kLocked,    // a committer holds the record lock; retry later
+  };
+
+  /// Physically removes `key` if it still maps to `rec` and the record's
+  /// TID word still equals `expected_word` (unlocked). On success the
+  /// record is stamped with TidWord::kUnlinkedWord, the leaf version is
+  /// bumped, and the caller owns `rec` (retire it through the epoch
+  /// manager). `rec` is dereferenced only when the tree still maps `key`
+  /// to it, so a stale pointer to a freed record is harmless.
+  UnlinkResult Unlink(std::string_view key, Record* rec,
+                      uint64_t expected_word);
+
   /// Current version of a leaf (for node-set validation).
   static uint64_t LeafVersion(const LeafNode* leaf);
 
-  /// Number of keys (including tombstoned records).
+  /// Number of keys (including tombstones not yet unlinked).
   size_t size() const { return size_.load(std::memory_order_relaxed); }
 
   struct LeafNode {
@@ -115,6 +140,11 @@ class BTree {
   };
 
   LeafNode* FindLeaf(std::string_view key) const;
+  /// A leaf for a split: recycled from free_leaves_ when possible.
+  LeafNode* NewLeaf();
+  /// Removes the empty `leaf` (which `key` routes to) from the inner nodes
+  /// and the leaf chain, unless it is the only leaf. Exclusive latch held.
+  void DetachEmptyLeaf(LeafNode* leaf, std::string_view key);
   SplitInfo InsertRec(void* node, int level, std::string_view key,
                       InsertResult* result);
   void FreeNode(void* node, int level);
@@ -125,6 +155,7 @@ class BTree {
   LeafNode* head_;  // leftmost leaf
   std::atomic<size_t> size_{0};
   std::vector<LeafNode*> all_leaves_;  // owned; never freed before dtor
+  std::vector<LeafNode*> free_leaves_;  // detached, awaiting reuse
 };
 
 }  // namespace reactdb

@@ -5,7 +5,8 @@
 // holding the record lock; readers use the TID-word seqlock protocol and
 // never observe a torn row. Replaced rows are retired to an epoch-based
 // reclamation list (see src/txn/epoch.h) because concurrent readers may
-// still dereference them.
+// still dereference them; so are Records themselves once the B-tree has
+// unlinked their tombstone (BTree::Unlink).
 
 #ifndef REACTDB_STORAGE_RECORD_H_
 #define REACTDB_STORAGE_RECORD_H_

@@ -20,6 +20,12 @@
 // masks the epoch so that even a wrapped epoch can never touch the
 // lock/absent bits: TID monotonicity would restart, but records stay
 // readable. TID words are manipulated only through the helpers below.
+//
+// One word is reserved: kUnlinkedWord (absent bit plus every TID bit) marks
+// a record whose tombstone the B-tree has physically unlinked. No commit
+// produces it (it would need epoch 2^32-1 with a saturated sequence), it
+// reads as absent, and validation aborts any transaction that observes or
+// locks it.
 
 #ifndef REACTDB_STORAGE_TID_H_
 #define REACTDB_STORAGE_TID_H_
@@ -38,9 +44,14 @@ class TidWord {
   static constexpr uint64_t kEpochMask = (1ULL << kEpochBits) - 1;
   static constexpr uint64_t kSeqMask = (1ULL << kEpochShift) - 1;
   static constexpr uint64_t kTidMask = ~(kLockBit | kAbsentBit);
+  static constexpr uint64_t kUnlinkedWord = kAbsentBit | kTidMask;
 
   static bool IsLocked(uint64_t word) { return (word & kLockBit) != 0; }
   static bool IsAbsent(uint64_t word) { return (word & kAbsentBit) != 0; }
+  /// True for the unlinked word, locked or not.
+  static bool IsUnlinked(uint64_t word) {
+    return (word & ~kLockBit) == kUnlinkedWord;
+  }
   /// Version (epoch+sequence) without status bits.
   static uint64_t Tid(uint64_t word) { return word & kTidMask; }
   static uint64_t Epoch(uint64_t word) {

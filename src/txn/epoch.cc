@@ -86,6 +86,11 @@ void EpochManager::CollectLocked(uint64_t min_active) {
     }
     retired_.pop_front();
   }
+  while (!retired_records_.empty() &&
+         retired_records_.front().first + 1 < min_active) {
+    delete retired_records_.front().second;
+    retired_records_.pop_front();
+  }
 }
 
 Row* EpochManager::ExchangeRow(const Row* replaced) {
@@ -105,6 +110,16 @@ Row* EpochManager::ExchangeRow(const Row* replaced) {
     }
   }
   return fresh != nullptr ? fresh : new Row();
+}
+
+void EpochManager::RetireRecord(Record* rec) {
+  std::lock_guard<std::mutex> lock(retire_mu_);
+  retired_records_.push_back(current(), rec);
+}
+
+size_t EpochManager::retired_record_count() const {
+  std::lock_guard<std::mutex> lock(retire_mu_);
+  return retired_records_.size();
 }
 
 size_t EpochManager::row_pool_size() const {
@@ -146,6 +161,10 @@ void EpochManager::DrainAll() {
   while (!retired_.empty()) {
     delete retired_.front().second;
     retired_.pop_front();
+  }
+  while (!retired_records_.empty()) {
+    delete retired_records_.front().second;
+    retired_records_.pop_front();
   }
   for (Row* row : row_pool_) delete row;
   row_pool_.clear();

@@ -3,8 +3,9 @@
 // Silo's OCC tags commit TIDs with a global epoch number. ReactDB uses the
 // epoch for two purposes:
 //  * commit TID generation (high bits of the TID word), and
-//  * safe reclamation of replaced row versions: a row replaced in epoch e
-//    may still be referenced by concurrent readers, and is freed only once
+//  * safe reclamation of replaced row versions and of Records whose
+//    tombstones the B-tree unlinked: either, retired in epoch e, may still
+//    be referenced by concurrent readers, and is reused or freed only once
 //    every registered executor has moved past e + 1.
 //
 // In the real-thread runtime a ticker thread advances the epoch every few
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/storage/record.h"
 #include "src/util/value.h"
 
 namespace reactdb {
@@ -96,6 +98,11 @@ class EpochManager {
 
   size_t row_pool_size() const;
 
+  /// Queues a Record that BTree::Unlink removed from its tree; it is
+  /// deleted once no executor can still hold a pointer to it.
+  void RetireRecord(Record* rec);
+  size_t retired_record_count() const;
+
   /// Starts/stops a background thread advancing the epoch periodically
   /// (real-thread runtime only).
   void StartTicker(uint64_t interval_ms);
@@ -117,19 +124,18 @@ class EpochManager {
   mutable std::mutex slots_mu_;
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> slots_;
 
-  /// FIFO of (retire epoch, row), oldest first. A ring over a vector rather
-  /// than a deque: steady-state push/pop cycles touch no allocator (deque
-  /// chunk churn would otherwise break the zero-allocation hot path).
+  /// FIFO of (retire epoch, pointer), oldest first. A ring over a vector
+  /// rather than a deque: steady-state push/pop cycles touch no allocator
+  /// (deque chunk churn would otherwise break the zero-allocation hot path).
+  template <typename T>
   class RetiredRing {
    public:
-    void push_back(uint64_t epoch, const Row* row) {
+    void push_back(uint64_t epoch, T* ptr) {
       if (count_ == buf_.size()) Grow();
-      buf_[(head_ + count_) & (buf_.size() - 1)] = {epoch, row};
+      buf_[(head_ + count_) & (buf_.size() - 1)] = {epoch, ptr};
       ++count_;
     }
-    const std::pair<uint64_t, const Row*>& front() const {
-      return buf_[head_];
-    }
+    const std::pair<uint64_t, T*>& front() const { return buf_[head_]; }
     void pop_front() {
       head_ = (head_ + 1) & (buf_.size() - 1);
       --count_;
@@ -140,7 +146,7 @@ class EpochManager {
    private:
     void Grow() {
       size_t new_cap = buf_.empty() ? 1024 : buf_.size() * 2;
-      std::vector<std::pair<uint64_t, const Row*>> fresh(new_cap);
+      std::vector<std::pair<uint64_t, T*>> fresh(new_cap);
       for (size_t i = 0; i < count_; ++i) {
         fresh[i] = buf_[(head_ + i) & (buf_.size() - 1)];
       }
@@ -148,13 +154,14 @@ class EpochManager {
       head_ = 0;
     }
 
-    std::vector<std::pair<uint64_t, const Row*>> buf_;  // size is a power of 2
+    std::vector<std::pair<uint64_t, T*>> buf_;  // size is a power of 2
     size_t head_ = 0;
     size_t count_ = 0;
   };
 
   mutable std::mutex retire_mu_;
-  RetiredRing retired_;
+  RetiredRing<const Row> retired_;
+  RetiredRing<Record> retired_records_;
   /// Recycled rows awaiting reuse by ExchangeRow. Bounded; overflow frees.
   static constexpr size_t kRowPoolCap = 4096;
   std::vector<Row*> row_pool_;

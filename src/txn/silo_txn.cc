@@ -107,9 +107,18 @@ Value* SiloTxn::CopyCells(const Row& src, const int* ids, uint32_t n) {
   return cells;
 }
 
-void SiloTxn::Buffer(Record* rec, Value* cells, uint32_t num_cells,
-                     WriteKind kind, uint32_t container,
-                     const Table* log_table, const KeyBuf* log_key) {
+void SiloTxn::CaptureKey(WriteEntry* entry, std::string_view key) {
+  char* copy = static_cast<char*>(arena()->Allocate(key.size(), 1));
+  std::memcpy(copy, key.data(), key.size());
+  entry->key = copy;
+  entry->key_size = static_cast<uint32_t>(key.size());
+}
+
+SiloTxn::WriteEntry* SiloTxn::Buffer(Record* rec, Value* cells,
+                                     uint32_t num_cells, WriteKind kind,
+                                     uint32_t container, BTree* tree,
+                                     std::string_view key,
+                                     const Table* log_table) {
   uint32_t idx = write_index_.Find(rec);
   if (idx != PtrIndex::kNpos) {
     WriteEntry& entry = write_set_[idx];
@@ -129,21 +138,33 @@ void SiloTxn::Buffer(Record* rec, Value* cells, uint32_t num_cells,
     }
     entry.cells = cells;
     entry.num_cells = num_cells;
-    return;  // redo identity already captured at first buffering
+    // Redo identity was captured at first buffering; a delete over an
+    // unlogged update still needs the key for the reclaim queue.
+    if (entry.key == nullptr && entry.kind == WriteKind::kDelete &&
+        reclaim_ != nullptr) {
+      CaptureKey(&entry, key);
+    }
+    return &entry;
   }
-  WriteEntry entry{rec, cells, num_cells, kind, container};
-  if (log_ != nullptr && log_table != nullptr && log_key != nullptr &&
-      log_table->HasDurableId()) {
-    char* copy = static_cast<char*>(arena()->Allocate(log_key->size(), 1));
-    std::memcpy(copy, log_key->data(), log_key->size());
-    entry.log_key = copy;
-    entry.log_key_size = static_cast<uint32_t>(log_key->size());
+  WriteEntry entry{.rec = rec,
+                   .cells = cells,
+                   .tree = tree,
+                   .num_cells = num_cells,
+                   .container = container,
+                   .kind = kind};
+  if (log_ != nullptr && log_table != nullptr && log_table->HasDurableId()) {
+    entry.logged = true;
     entry.log_reactor = log_table->durable_reactor().value;
     entry.log_slot = log_table->durable_slot().value;
   }
+  // Without a reclaim queue (bulk loads) only logged writes need the key.
+  if (entry.logged || (kind != WriteKind::kUpdate && reclaim_ != nullptr)) {
+    CaptureKey(&entry, key);
+  }
   write_set_.push_back(arena(), entry);
-  write_index_.Emplace(arena_, rec,
-                       static_cast<uint32_t>(write_set_.size() - 1));
+  const uint32_t pos = static_cast<uint32_t>(write_set_.size() - 1);
+  write_index_.Emplace(arena_, rec, pos);
+  return &write_set_[pos];
 }
 
 namespace {
@@ -220,13 +241,12 @@ StatusOr<Row> SiloTxn::Get(Table* table, const Row& key, uint32_t container) {
 
 Status SiloTxn::InsertEntry(BTree* tree, std::string_view key, const Row& src,
                             const int* ids, uint32_t num_cells,
-                            uint32_t container, const Table* log_table,
-                            const KeyBuf* log_key) {
+                            uint32_t container, const Table* log_table) {
   BTree::InsertResult result = tree->GetOrInsert(key);
   if (result.created) {
     uint64_t word = result.record->tid.load(std::memory_order_acquire);
-    if (TrackRead(result.record, word, container) && log_key != nullptr) {
-      DigestRead(log_table, log_key->view(), result.record, word);
+    if (TrackRead(result.record, word, container)) {
+      DigestRead(log_table, key, result.record, word);
     }
     FixupNodeAfterOwnInsert(result.leaf, result.version_before,
                             result.version_after);
@@ -237,9 +257,8 @@ Status SiloTxn::InsertEntry(BTree* tree, std::string_view key, const Row& src,
       }
     } else {
       RecordSnapshot snap = ReadRecord(*result.record);
-      if (TrackRead(result.record, snap.tid, container) &&
-          log_key != nullptr) {
-        DigestRead(log_table, log_key->view(), result.record, snap.tid);
+      if (TrackRead(result.record, snap.tid, container)) {
+        DigestRead(log_table, key, result.record, snap.tid);
       }
       if (snap.row != nullptr) {
         return Status::AlreadyExists("duplicate key");
@@ -247,8 +266,10 @@ Status SiloTxn::InsertEntry(BTree* tree, std::string_view key, const Row& src,
     }
   }
   // All checks passed: gather the stored row into the arena and buffer it.
-  Buffer(result.record, CopyCells(src, ids, num_cells), num_cells,
-         WriteKind::kInsert, container, log_table, log_key);
+  WriteEntry* entry =
+      Buffer(result.record, CopyCells(src, ids, num_cells), num_cells,
+             WriteKind::kInsert, container, tree, key, log_table);
+  if (result.created) entry->created = true;
   return Status::OK();
 }
 
@@ -261,7 +282,7 @@ Status SiloTxn::Insert(Table* table, const Row& row, uint32_t container) {
   REACTDB_RETURN_IF_ERROR(InsertEntry(&table->primary(), keybuf.view(), row,
                                       /*ids=*/nullptr,
                                       static_cast<uint32_t>(row.size()),
-                                      container, table, &keybuf));
+                                      container, table));
   for (size_t i = 0; i < table->num_secondary_indexes(); ++i) {
     KeyBuf entrybuf(arena_);
     table->EncodeSecondaryEntryTo(i, row, &entrybuf);
@@ -305,7 +326,8 @@ Status SiloTxn::Update(Table* table, const Row& key, const Row& new_row,
     if (old_entry.view() == new_entry.view()) continue;
     BTree::LookupResult old_lookup = table->secondary(i).Get(old_entry.view());
     if (old_lookup.record != nullptr) {
-      Buffer(old_lookup.record, nullptr, 0, WriteKind::kDelete, container);
+      Buffer(old_lookup.record, nullptr, 0, WriteKind::kDelete, container,
+             &table->secondary(i), old_entry.view());
     }
     REACTDB_RETURN_IF_ERROR(InsertEntry(
         &table->secondary(i), new_entry.view(), new_row, kids.data(),
@@ -314,7 +336,7 @@ Status SiloTxn::Update(Table* table, const Row& key, const Row& new_row,
   Buffer(primary_rec,
          CopyCells(new_row, nullptr, static_cast<uint32_t>(new_row.size())),
          static_cast<uint32_t>(new_row.size()), WriteKind::kUpdate, container,
-         table, &pk_buf);
+         &table->primary(), pk_buf.view(), table);
   stats_.writes++;
   return Status::OK();
 }
@@ -335,11 +357,12 @@ Status SiloTxn::Delete(Table* table, const Row& key, uint32_t container) {
     table->EncodeSecondaryEntryTo(i, old_cells, &entrybuf);
     BTree::LookupResult entry_lookup = table->secondary(i).Get(entrybuf.view());
     if (entry_lookup.record != nullptr) {
-      Buffer(entry_lookup.record, nullptr, 0, WriteKind::kDelete, container);
+      Buffer(entry_lookup.record, nullptr, 0, WriteKind::kDelete, container,
+             &table->secondary(i), entrybuf.view());
     }
   }
-  Buffer(primary_rec, nullptr, 0, WriteKind::kDelete, container, table,
-         &pk_buf);
+  Buffer(primary_rec, nullptr, 0, WriteKind::kDelete, container,
+         &table->primary(), pk_buf.view(), table);
   stats_.writes++;
   return Status::OK();
 }
@@ -352,7 +375,15 @@ Status SiloTxn::ScanInternal(Table* table, std::string_view lo,
   // Candidates are materialized under the tree latch in chunks, and
   // visibility + callbacks run outside the latch between chunks, so that
   // limited scans over large relations do not materialize the whole range.
+  // A limited scan starts with a chunk just past its limit (the slack
+  // absorbs rows this transaction deleted and tombstones not yet
+  // unlinked) and doubles it up to kChunk, so `Limit(1)` neither copies
+  // nor node-tracks a thousand candidates.
   constexpr size_t kChunk = 1024;
+  constexpr size_t kLimitSlack = 16;
+  size_t chunk = limit >= 0 ? std::min(kChunk, static_cast<size_t>(limit) +
+                                                   kLimitSlack)
+                            : kChunk;
   std::string cursor_lo(lo);
   std::string cursor_hi(hi);
   int64_t delivered = 0;
@@ -363,11 +394,11 @@ Status SiloTxn::ScanInternal(Table* table, std::string_view lo,
       audit_ && log_ != nullptr && table->HasDurableId();
   while (!stopped) {
     std::vector<Record*> candidates;
-    candidates.reserve(kChunk);
+    candidates.reserve(chunk);
     bool more = false;
     std::string resume_key;
     auto collect = [&](const std::string& key, Record* rec) {
-      if (candidates.size() == kChunk) {
+      if (candidates.size() == chunk) {
         more = true;
         resume_key = key;  // first key of the next chunk
         return false;
@@ -417,6 +448,7 @@ Status SiloTxn::ScanInternal(Table* table, std::string_view lo,
       }
     }
     if (!more) break;
+    chunk = std::min(kChunk, chunk * 2);
     if (reverse) {
       // Resume strictly below the already-visited range: make the next
       // upper bound include resume_key itself.
@@ -587,6 +619,15 @@ StatusOr<uint64_t> SiloTxn::Commit(TidSource* tids) {
   uint64_t observed_max = 0;
   for (const ReadEntry& entry : read_set_) {
     uint64_t cur = entry.rec->tid.load(std::memory_order_acquire);
+    // An unlinked record is no longer in its tree: whatever this
+    // transaction concluded from it (typically "key absent") may already
+    // be contradicted by a fresh record for the key. Structural, so it
+    // holds even under the skip_validation fault.
+    if (TidWord::IsUnlinked(cur)) {
+      ReleaseLocks(sorted_writes_.size());
+      Abort();
+      return Status::Aborted("read-set record was unlinked");
+    }
     bool own_lock = write_index_.Find(entry.rec) != PtrIndex::kNpos;
     // skip_validation_ is the cc.skip_validation fault: suppress only the
     // two read-set abort checks (the injected anomaly the isolation audit
@@ -614,9 +655,14 @@ StatusOr<uint64_t> SiloTxn::Commit(TidSource* tids) {
     }
   }
   for (const WriteEntry& entry : write_set_) {
-    observed_max = std::max(
-        observed_max,
-        TidWord::Tid(entry.rec->tid.load(std::memory_order_relaxed)));
+    uint64_t cur = entry.rec->tid.load(std::memory_order_relaxed);
+    if (TidWord::IsUnlinked(cur)) {
+      // Installing here would write to a record no lookup can reach.
+      ReleaseLocks(sorted_writes_.size());
+      Abort();
+      return Status::Aborted("write-set record was unlinked");
+    }
+    observed_max = std::max(observed_max, TidWord::Tid(cur));
   }
 
   // Phase 2: commit point — TID generation and write install. The final
@@ -627,10 +673,16 @@ StatusOr<uint64_t> SiloTxn::Commit(TidSource* tids) {
   for (WriteEntry& entry : write_set_) {
     const Row* old_row = entry.rec->data.load(std::memory_order_relaxed);
     if (entry.kind == WriteKind::kDelete) {
+      const uint64_t tombstone = TidWord::WithAbsent(commit_tid);
       entry.rec->data.store(nullptr, std::memory_order_release);
-      entry.rec->tid.store(TidWord::WithAbsent(commit_tid),
-                           std::memory_order_release);
+      entry.rec->tid.store(tombstone, std::memory_order_release);
       epochs_->Retire(old_row);
+      // Unlinked only once the epoch passed the delete's, so a re-insert
+      // on a fresh record commits with a larger TID.
+      if (reclaim_ != nullptr) {
+        reclaim_->Push(entry.tree, entry.key_view(), entry.rec, tombstone,
+                       TidWord::Epoch(commit_tid));
+      }
     } else {
       // One lock acquisition retires the old version and hands back a
       // recycled install row. The retired version stays readable until
@@ -651,9 +703,9 @@ StatusOr<uint64_t> SiloTxn::Commit(TidSource* tids) {
     log::LogShard::Appender appender(log_);
     bool logged_write = false;
     for (const WriteEntry& entry : write_set_) {
-      if (entry.log_key == nullptr) continue;
+      if (!entry.logged) continue;
       logged_write = true;
-      std::string_view key(entry.log_key, entry.log_key_size);
+      std::string_view key = entry.key_view();
       if (entry.kind == WriteKind::kDelete) {
         appender.Delete(entry.log_reactor, entry.log_slot, key, commit_tid);
       } else {
@@ -687,9 +739,34 @@ StatusOr<uint64_t> SiloTxn::Commit(TidSource* tids) {
   return commit_tid;
 }
 
+bool SiloTxn::ReadsStale() const {
+  for (const ReadEntry& entry : read_set_) {
+    uint64_t cur = entry.rec->tid.load(std::memory_order_acquire);
+    if (TidWord::IsLocked(cur) || TidWord::IsUnlinked(cur) ||
+        TidWord::Tid(cur) != TidWord::Tid(entry.tid)) {
+      return true;
+    }
+  }
+  for (const NodeEntry& entry : node_set_) {
+    if (BTree::LeafVersion(entry.leaf) != entry.version) return true;
+  }
+  return false;
+}
+
 void SiloTxn::Abort() {
-  // Buffered writes were never installed; eagerly inserted index records
-  // remain absent tombstones, which is correct (they were never visible).
+  // Buffered writes were never installed; eagerly inserted records remain
+  // absent tombstones, which is correct (they were never visible), and go
+  // to the reclaim queue like committed deletes. An eager record's word is
+  // the fresh kAbsentBit; if another transaction committed over it since,
+  // the unlink finds the word changed and leaves it.
+  if (reclaim_ != nullptr) {
+    const uint64_t epoch = epochs_->current();
+    for (const WriteEntry& entry : write_set_) {
+      if (!entry.created) continue;
+      reclaim_->Push(entry.tree, entry.key_view(), entry.rec,
+                     TidWord::kAbsentBit, epoch);
+    }
+  }
   DestroyWriteCells();
   read_set_.clear();
   write_set_.clear();

@@ -12,6 +12,12 @@
 //   commit:     compute TID, install writes, release locks
 //   abort:      release locks, leave eager inserts as absent tombstones
 //
+// Tombstones are reclaimed: with a ReclaimQueue bound (BindReclaim), Commit
+// queues every committed delete and Abort every record its inserts created
+// eagerly; the executor later unlinks them from their trees once the epoch
+// rule allows (src/txn/reclaim.h). A transaction that still holds a pointer
+// to an unlinked record aborts at commit.
+//
 // Secondary indexes are maintained transactionally: entry records are
 // ordinary records whose row holds the primary key, inserted/deleted in the
 // same transaction as the primary mutation.
@@ -36,6 +42,7 @@
 #include "src/log/log_shard.h"
 #include "src/storage/table.h"
 #include "src/txn/epoch.h"
+#include "src/txn/reclaim.h"
 #include "src/util/arena.h"
 #include "src/util/flat.h"
 #include "src/util/statusor.h"
@@ -86,6 +93,12 @@ class SiloTxn {
   /// (Table::BindDurableId) are logged; secondary-index entry records are
   /// never logged (recovery rebuilds the indexes).
   void BindLog(log::LogShard* shard);
+
+  /// Binds the queue that Commit and Abort hand tombstones to for physical
+  /// removal (the owning executor's). Must happen before the first write
+  /// operation. Null (the default) leaves tombstones in place — standalone
+  /// and bulk-load transactions.
+  void BindReclaim(ReclaimQueue* queue) { reclaim_ = queue; }
 
   /// Enables audit capture (Database::Options::audit): Commit additionally
   /// appends one kTxnAudit record digesting the read set — (reactor, slot,
@@ -163,8 +176,16 @@ class SiloTxn {
   StatusOr<uint64_t> Commit(TidSource* tids);
 
   /// Rolls back all buffered writes (releases nothing durable; eager
-  /// inserts remain as absent tombstones).
+  /// inserts remain as absent tombstones, queued for reclamation when a
+  /// ReclaimQueue is bound).
   void Abort();
+
+  /// Lock-free staleness probe of the read and node sets: true when a
+  /// record read has since changed, is locked or was unlinked, or a tracked
+  /// leaf changed. An abort whose cause may be a stale read (a duplicate
+  /// key derived from a counter another commit advanced) is then a
+  /// concurrency conflict, not a terminal error. Call before Abort.
+  bool ReadsStale() const;
 
   /// Containers touched by any operation (drives 2PC cost accounting and
   /// the distinction single- vs multi-container commit). Ascending order.
@@ -190,16 +211,25 @@ class SiloTxn {
     /// Buffered new row as arena-resident cells; null for deletes and after
     /// the cells were consumed (install) or destroyed (rollback).
     Value* cells;
+    /// The record's tree and arena-copied encoded key. Captured for
+    /// entries that may leave a tombstone (inserts and deletes) when a
+    /// reclaim queue is bound, and for logged writes (the redo record's
+    /// key); null key otherwise.
+    BTree* tree = nullptr;
+    const char* key = nullptr;
     uint32_t num_cells;
-    WriteKind kind;
     uint32_t container;
+    uint32_t key_size = 0;
     /// Redo-log capture (only for primary-table writes with a log bound):
-    /// arena-copied encoded primary key plus the durable relation handles.
-    /// Null log_key = not logged.
-    const char* log_key = nullptr;
-    uint32_t log_key_size = 0;
+    /// the durable relation handles.
     uint32_t log_reactor = 0;
     uint32_t log_slot = 0;
+    WriteKind kind;
+    bool logged = false;
+    /// The record was created by this transaction's GetOrInsert.
+    bool created = false;
+
+    std::string_view key_view() const { return {key, key_size}; }
   };
   struct NodeEntry {
     BTree::LeafNode* leaf;
@@ -237,11 +267,14 @@ class SiloTxn {
   /// columns (null = the first n cells in order).
   Value* CopyCells(const Row& src, const int* ids, uint32_t n);
   /// Adds or overwrites a write-set entry, adopting `cells` (arena-owned).
-  /// `log_table`/`log_key` carry the redo-capture identity of primary-table
-  /// writes (null for index-entry records; ignored when no log is bound).
-  void Buffer(Record* rec, Value* cells, uint32_t num_cells, WriteKind kind,
-              uint32_t container, const Table* log_table = nullptr,
-              const KeyBuf* log_key = nullptr);
+  /// `tree`/`key` locate the record; `log_table` carries the redo-capture
+  /// identity of primary-table writes (null for index-entry records;
+  /// ignored when no log is bound).
+  WriteEntry* Buffer(Record* rec, Value* cells, uint32_t num_cells,
+                     WriteKind kind, uint32_t container, BTree* tree,
+                     std::string_view key, const Table* log_table = nullptr);
+  /// Arena copy of `key` into `entry`.
+  void CaptureKey(WriteEntry* entry, std::string_view key);
   /// Pending write for a record, or nullptr. The pointer is invalidated by
   /// the next Buffer call.
   WriteEntry* PendingWrite(Record* rec);
@@ -258,11 +291,10 @@ class SiloTxn {
 
   /// Inserts one index entry record. The buffered row is gathered from
   /// `src` through `ids` (see CopyCells) only after all duplicate checks
-  /// pass. `log_table`/`log_key` as in Buffer.
+  /// pass. `log_table` as in Buffer; it also selects the audit digest.
   Status InsertEntry(BTree* tree, std::string_view key, const Row& src,
                      const int* ids, uint32_t num_cells, uint32_t container,
-                     const Table* log_table = nullptr,
-                     const KeyBuf* log_key = nullptr);
+                     const Table* log_table = nullptr);
 
   Status ScanInternal(Table* table, std::string_view lo, std::string_view hi,
                       bool reverse, int64_t limit,
@@ -282,6 +314,7 @@ class SiloTxn {
 
   EpochManager* epochs_;
   log::LogShard* log_ = nullptr;
+  ReclaimQueue* reclaim_ = nullptr;
   Arena* arena_ = nullptr;
   std::unique_ptr<Arena> own_arena_;
   FlatVec<ReadEntry> read_set_;

@@ -227,6 +227,36 @@ TEST(Checker, FinalizeIsIdempotentAndMonotonic) {
   EXPECT_EQ(5u, checker.finalized_epoch());
 }
 
+TEST(Checker, FreshRecordAbsenceIsTheUnlinkedTombstone) {
+  // I inserts k (epoch 5), D deletes it (epoch 6), the tombstone is
+  // unlinked, and R re-inserts k in epoch 8 over a fresh record, whose
+  // absent word carries TID 0. R observed D's absent state, not the state
+  // before I: no stale read.
+  Checker checker;
+  const uint64_t ins = TidWord::Make(5, 1);
+  const uint64_t del = TidWord::Make(6, 1);
+  const uint64_t re = TidWord::Make(8, 1);
+  checker.AddAudit(0, Txn(ins, {}, {Write(0, "k")}));
+  checker.AddAudit(0, Txn(del, {Read(0, "k", ins)}, {Write(0, "k")}));
+  checker.AddAudit(0, Txn(re, {Read(0, "k", TidWord::kAbsentBit)},
+                          {Write(0, "k")}));
+  checker.FinalizeUpTo(8);
+  EXPECT_TRUE(checker.clean())
+      << audit::FormatViolation(checker.violations().front());
+  // Versions from R's own epoch are successors, not what R read: two
+  // re-inserters over one absent state form a lost-update cycle.
+  Checker lost;
+  lost.AddAudit(0, Txn(ins, {}, {Write(0, "k")}));
+  lost.AddAudit(0, Txn(del, {Read(0, "k", ins)}, {Write(0, "k")}));
+  lost.AddAudit(0, Txn(re, {Read(0, "k", TidWord::kAbsentBit)},
+                       {Write(0, "k")}));
+  lost.AddAudit(1, Txn(TidWord::Make(8, 0),
+                       {Read(0, "k", TidWord::kAbsentBit)}, {Write(0, "k")}));
+  lost.FinalizeUpTo(8);
+  ASSERT_FALSE(lost.clean());
+  EXPECT_EQ(ViolationKind::kCycle, lost.violations().front().kind);
+}
+
 // --- Deterministic end-to-end lost update ------------------------------------
 
 constexpr int64_t kCustomers = 8;
@@ -390,6 +420,62 @@ TEST(AuditEndToEnd, CleanRunAuditsCleanThreads) {
   EXPECT_TRUE(offline->clean())
       << audit::FormatViolation(offline->violations.front());
   EXPECT_GT(offline->stats.txns, 0u);
+}
+
+// Delete, unlink, re-insert under audit: the re-insert digests the fresh
+// record's absent word (TID 0), which must resolve to the delete's state.
+Proc AddEntry(TxnContext& ctx, Row args) {
+  REACTDB_CO_RETURN_IF_ERROR(ctx.Insert("entries", args));
+  co_return Value(int64_t{0});
+}
+
+Proc DropEntry(TxnContext& ctx, Row args) {
+  REACTDB_CO_RETURN_IF_ERROR(ctx.Delete("entries", {args[0]}));
+  co_return Value(int64_t{0});
+}
+
+Proc NoopEntry(TxnContext&, Row) { co_return Value(int64_t{0}); }
+
+TEST(AuditEndToEnd, DeleteUnlinkReinsertAuditsClean) {
+  std::string dir = FreshDir("unlink_reinsert");
+  ReactorDatabaseDef def;
+  ReactorType& type = def.DefineType("Book");
+  type.AddSchema(SchemaBuilder("entries")
+                     .AddColumn("id", ValueType::kInt64)
+                     .AddColumn("v", ValueType::kInt64)
+                     .SetKey({"id"})
+                     .Build()
+                     .value());
+  type.AddProcedure("add", &AddEntry);
+  type.AddProcedure("drop", &DropEntry);
+  type.AddProcedure("noop", &NoopEntry);
+  REACTDB_CHECK_OK(def.DeclareReactor("book", "Book"));
+  Database::Options options = Database::Sim();
+  options.data_dir = dir;
+  options.audit = true;
+  Database db;
+  ASSERT_TRUE(
+      db.Open(&def, DeploymentConfig::SharedNothing(1), options).ok());
+  Table* entries = *db.FindTable("book", "entries");
+  ASSERT_TRUE(db.Execute("book", "add", {Value(int64_t{1}), Value(int64_t{1})})
+                  .ok());
+  db.runtime()->epochs()->Advance();
+  ASSERT_TRUE(db.Execute("book", "drop", {Value(int64_t{1})}).ok());
+  db.runtime()->epochs()->Advance();
+  ASSERT_TRUE(db.Execute("book", "noop", {}).ok());  // drains: unlinks key 1
+  ASSERT_EQ(0u, entries->primary().size());
+  db.runtime()->epochs()->Advance();
+  ASSERT_TRUE(db.Execute("book", "add", {Value(int64_t{1}), Value(int64_t{2})})
+                  .ok());
+  db.WaitDurable();
+  db.Shutdown();
+  audit::AuditorStatus online = db.AuditStatus();
+  EXPECT_FALSE(online.violation) << online.first_violation;
+  auto offline = AuditDirectory(dir);
+  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+  EXPECT_TRUE(offline->clean())
+      << audit::FormatViolation(offline->violations.front());
+  EXPECT_GE(offline->stats.txns, 3u);
 }
 
 // Mixed redo+audit segments recover through the pre-audit replay path: a

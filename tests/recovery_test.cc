@@ -408,6 +408,16 @@ Proc Noop(TxnContext& ctx, Row args) {
   co_return Value(int64_t{0});
 }
 
+Proc DropOrder(TxnContext& ctx, Row args) {
+  REACTDB_CO_RETURN_IF_ERROR(ctx.Delete("orders", {args[0]}));
+  co_return Value(int64_t{0});
+}
+
+Proc AddOrder(TxnContext& ctx, Row args) {
+  REACTDB_CO_RETURN_IF_ERROR(ctx.Insert("orders", args));
+  co_return Value(int64_t{0});
+}
+
 std::unique_ptr<ReactorDatabaseDef> LedgerDef() {
   auto def = std::make_unique<ReactorDatabaseDef>();
   ReactorType& type = def->DefineType("Ledger");
@@ -420,6 +430,8 @@ std::unique_ptr<ReactorDatabaseDef> LedgerDef() {
                      .Build()
                      .value());
   type.AddProcedure("noop", &Noop);
+  type.AddProcedure("drop", &DropOrder);
+  type.AddProcedure("add", &AddOrder);
   REACTDB_CHECK_OK(def->DeclareReactor("ledger", "Ledger"));
   return def;
 }
@@ -482,6 +494,62 @@ TEST(Recovery, SecondaryIndexesAreRebuiltAndDeletesReplay) {
       return txn.GetInto(orders, {Value(int64_t{7})}, &out, 0);
     });
     EXPECT_TRUE(miss.IsNotFound()) << miss;
+    db.Shutdown();
+  }
+}
+
+TEST(Recovery, ReinsertAfterUnlinkReplaysOverTheDelete) {
+  std::string dir = FreshDir("unlink_reinsert");
+  auto def = LedgerDef();
+  std::string before;
+  {
+    Database db;
+    ASSERT_TRUE(
+        db.Open(def.get(), DeploymentConfig::SharedNothing(1), SimDurable(dir))
+            .ok());
+    Table* orders = *db.FindTable("ledger", "orders");
+    ASSERT_TRUE(db.RunDirect([&](SiloTxn& txn) -> Status {
+                    for (int64_t i = 0; i < 10; ++i) {
+                      REACTDB_RETURN_IF_ERROR(txn.Insert(
+                          orders, {Value(i), Value("bob"), Value(1.0)}, 0));
+                    }
+                    return Status::OK();
+                  }).ok());
+    ASSERT_TRUE(db.Execute("ledger", "drop", {Value(int64_t{7})}).ok());
+    EXPECT_EQ(10u, orders->primary().size());  // tombstone, not yet unlinked
+    // Once the epoch moves on, the executor's next finalization unlinks
+    // the tombstone and its index entry.
+    db.runtime()->epochs()->Advance();
+    ASSERT_TRUE(db.Execute("ledger", "noop", {}).ok());
+    EXPECT_EQ(9u, orders->primary().size());
+    EXPECT_EQ(9u, orders->secondary(0).size());
+    ASSERT_TRUE(db.Execute("ledger", "add",
+                           {Value(int64_t{7}), Value("carol"), Value(77.0)})
+                    .ok());
+    // A delete still queued at shutdown replays as a tombstone, which
+    // recovery unlinks.
+    ASSERT_TRUE(db.Execute("ledger", "drop", {Value(int64_t{3})}).ok());
+    before = DumpState(db, *def);
+    db.Shutdown();
+  }
+  {
+    Database db;
+    ASSERT_TRUE(
+        db.Open(def.get(), DeploymentConfig::SharedNothing(1), SimDurable(dir))
+            .ok());
+    ASSERT_TRUE(db.recovered());
+    // Replay is last-writer-wins by TID: the re-insert on the fresh record
+    // must carry a larger TID than the delete it follows.
+    EXPECT_EQ(before, DumpState(db, *def));
+    Table* orders = *db.FindTable("ledger", "orders");
+    Row row;
+    ASSERT_TRUE(db.RunDirect([&](SiloTxn& txn) -> Status {
+                    return txn.GetInto(orders, {Value(int64_t{7})}, &row, 0);
+                  }).ok());
+    EXPECT_EQ("carol", row[1].AsString());
+    EXPECT_DOUBLE_EQ(77.0, row[2].AsNumeric());
+    EXPECT_EQ(9u, orders->primary().size());
+    EXPECT_EQ(9u, orders->secondary(0).size());
     db.Shutdown();
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/runtime/reactdb.h"
 #include "src/util/logging.h"
@@ -272,6 +273,81 @@ TEST(RuntimeConflictTest, ConcurrentRootsOnOneReactorSerialize) {
   ProcResult v = rt.Execute("c0", "get", {});
   // Exactly the committed bumps are visible — no lost updates.
   EXPECT_EQ(committed, v->AsInt64());
+}
+
+// --- Stale reads behind a terminal-looking abort ---------------------------
+
+// new_order: takes the next id from the district counter, optionally
+// yields on a cross-container call, then inserts the order under that id
+// and advances the counter — TPC-C NewOrder's key derivation.
+Proc DeriveAndInsert(TxnContext& ctx, Row args) {
+  REACTDB_CO_ASSIGN_OR_RETURN(Row district,
+                              ctx.Get("district", {Value(int64_t{0})}));
+  const int64_t id = district[1].AsInt64();
+  if (!args[0].AsString().empty()) {
+    ProcResult r = co_await ctx.CallOn(args[0].AsString(), "stock", {});
+    REACTDB_CO_RETURN_IF_ERROR(r.status());
+  }
+  REACTDB_CO_RETURN_IF_ERROR(
+      ctx.Insert("orders", {Value(id), Value(int64_t{1})}));
+  REACTDB_CO_RETURN_IF_ERROR(ctx.Update(
+      "district", {Value(int64_t{0})}, {Value(int64_t{0}), Value(id + 1)}));
+  co_return Value(id);
+}
+
+// stock: a remote step slow enough that a second root on the caller's
+// executor derives the same id and commits first.
+Proc SlowStock(TxnContext& ctx, Row) {
+  ctx.Compute(500);
+  co_return Value(int64_t{0});
+}
+
+TEST(RuntimeConflictTest, DuplicateKeyFromStaleCounterIsRetryable) {
+  ReactorDatabaseDef def;
+  ReactorType& t = def.DefineType("Warehouse");
+  t.AddSchema(SchemaBuilder("district")
+                  .AddColumn("k", ValueType::kInt64)
+                  .AddColumn("next_id", ValueType::kInt64)
+                  .SetKey({"k"})
+                  .Build()
+                  .value());
+  t.AddSchema(SchemaBuilder("orders")
+                  .AddColumn("id", ValueType::kInt64)
+                  .AddColumn("v", ValueType::kInt64)
+                  .SetKey({"id"})
+                  .Build()
+                  .value());
+  t.AddProcedure("new_order", &DeriveAndInsert);
+  t.AddProcedure("stock", &SlowStock);
+  REACTDB_CHECK_OK(def.DeclareReactor("w1", "Warehouse"));
+  REACTDB_CHECK_OK(def.DeclareReactor("w2", "Warehouse"));
+  SimRuntime rt;
+  ASSERT_TRUE(rt.Bootstrap(&def, DeploymentConfig::SharedNothing(2)).ok());
+  ASSERT_TRUE(rt.RunDirect([&rt](SiloTxn& txn) -> Status {
+                  Table* d = rt.FindTable("w1", "district").value();
+                  return txn.Insert(d, {Value(int64_t{0}), Value(int64_t{0})},
+                                    rt.FindReactor("w1")->container_id());
+                }).ok());
+  // The remote root reads next_id 0 and yields; the local root reads the
+  // same 0, inserts order 0 and commits; the remote root resumes and its
+  // insert of order 0 finds the key taken.
+  std::vector<Status> outcomes(2);
+  ASSERT_TRUE(rt.Submit("w1", "new_order", {Value("w2")},
+                        [&](ProcResult r, const RootTxn&) {
+                          outcomes[0] = r.status();
+                        })
+                  .ok());
+  ASSERT_TRUE(rt.Submit("w1", "new_order", {Value("")},
+                        [&](ProcResult r, const RootTxn&) {
+                          outcomes[1] = r.status();
+                        })
+                  .ok());
+  rt.RunAll();
+  EXPECT_TRUE(outcomes[1].ok()) << outcomes[1];
+  // The duplicate key was computed from a counter read the other commit
+  // overwrote: a conflict the session retries, not a terminal error.
+  EXPECT_TRUE(outcomes[0].IsAborted()) << outcomes[0];
+  EXPECT_EQ(1u, rt.stats().committed.load());
 }
 
 TEST(RunDirectTest, CommitAndAbortPaths) {

@@ -2,6 +2,7 @@
 // B+-tree (against a std::map reference model), tables, and the catalog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -243,6 +244,166 @@ TEST(BTree, LeafVersionBumpsOnInsertOnly) {
   tree.GetOrInsert(K(6));           // new key bumps
   EXPECT_GT(BTree::LeafVersion(r.leaf), v);
 }
+
+// --- Unlink -------------------------------------------------------------
+
+// A committed delete's word: what the reclaim queue passes to Unlink.
+constexpr uint64_t kTombstone = TidWord::kAbsentBit | (uint64_t{3} << 30);
+
+TEST(BTree, UnlinkRemovesKeyAndBumpsLeafVersion) {
+  BTree tree;
+  for (int64_t i = 0; i < 3; ++i) tree.GetOrInsert(K(i));
+  BTree::LookupResult hit = tree.Get(K(1));
+  Record* rec = hit.record;
+  ASSERT_NE(nullptr, rec);
+  rec->tid.store(kTombstone);
+  const uint64_t v0 = hit.leaf_version;
+
+  // Refusals: another record under the key, a changed word, a held lock.
+  Record other;
+  EXPECT_EQ(BTree::UnlinkResult::kStale, tree.Unlink(K(1), &other, kTombstone));
+  EXPECT_EQ(BTree::UnlinkResult::kStale,
+            tree.Unlink(K(1), rec, kTombstone + 1));
+  EXPECT_EQ(BTree::UnlinkResult::kStale, tree.Unlink(K(9), rec, kTombstone));
+  LockTid(&rec->tid);
+  EXPECT_EQ(BTree::UnlinkResult::kLocked, tree.Unlink(K(1), rec, kTombstone));
+  UnlockTid(&rec->tid);
+  EXPECT_EQ(3u, tree.size());
+  EXPECT_EQ(v0, BTree::LeafVersion(hit.leaf));  // refusals change nothing
+  EXPECT_EQ(kTombstone, rec->tid.load());
+
+  EXPECT_EQ(BTree::UnlinkResult::kUnlinked,
+            tree.Unlink(K(1), rec, kTombstone));
+  EXPECT_EQ(2u, tree.size());
+  EXPECT_GT(BTree::LeafVersion(hit.leaf), v0);  // node sets see it
+  EXPECT_EQ(TidWord::kUnlinkedWord, rec->tid.load());
+  EXPECT_TRUE(TidWord::IsAbsent(rec->tid.load()));
+  EXPECT_EQ(nullptr, tree.Get(K(1)).record);
+  // Unlinked records belong to the caller; a second unlink is refused
+  // without touching it.
+  EXPECT_EQ(BTree::UnlinkResult::kStale, tree.Unlink(K(1), rec, kTombstone));
+  delete rec;
+  // A re-insert creates a fresh record.
+  BTree::InsertResult again = tree.GetOrInsert(K(1));
+  EXPECT_TRUE(again.created);
+  EXPECT_EQ(TidWord::kAbsentBit, again.record->tid.load());
+  EXPECT_EQ(3u, tree.size());
+}
+
+TEST(BTree, EmptiedLeavesLeaveTheScanPath) {
+  // Oldest-first deletes over monotone inserts: the TPC-C new-order shape.
+  BTree tree;
+  constexpr int64_t kN = 5000;
+  for (int64_t i = 0; i < kN; ++i) tree.GetOrInsert(K(i));
+  for (int64_t i = 0; i < kN - 10; ++i) {
+    Record* rec = tree.Get(K(i)).record;
+    rec->tid.store(kTombstone);
+    ASSERT_EQ(BTree::UnlinkResult::kUnlinked,
+              tree.Unlink(K(i), rec, kTombstone));
+    delete rec;
+  }
+  EXPECT_EQ(10u, tree.size());
+  int leaves = 0;
+  int64_t first = -1;
+  tree.Scan(
+      "", "",
+      [&first](const std::string& key, Record*) {
+        first = DecodeKey(key).value()[0].AsInt64();
+        return false;
+      },
+      [&leaves](BTree::LeafNode*, uint64_t) { ++leaves; });
+  EXPECT_EQ(kN - 10, first);
+  EXPECT_EQ(1, leaves);  // no walk over emptied leaves
+  // Detached leaves are reused by later splits; order and links survive.
+  for (int64_t i = kN; i < 2 * kN; ++i) tree.GetOrInsert(K(i));
+  int64_t expect = kN - 10;
+  tree.Scan("", "", [&expect](const std::string& key, Record*) {
+    EXPECT_EQ(K(expect), key);
+    ++expect;
+    return true;
+  });
+  EXPECT_EQ(2 * kN, expect);
+  expect = 2 * kN - 1;
+  tree.ReverseScan("", "", [&expect](const std::string& key, Record*) {
+    EXPECT_EQ(K(expect), key);
+    --expect;
+    return true;
+  });
+  EXPECT_EQ(kN - 11, expect);
+}
+
+// Property test with unlinks: inserts, unlinks, lookups, and forward and
+// reverse scans against a std::map reference model. Unlinks empty and
+// detach leaves and collapse levels; inserts recycle the leaves.
+class BTreeUnlinkModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BTreeUnlinkModelTest, MatchesReferenceModel) {
+  BTree tree;
+  std::set<std::string> model;
+  Rng rng(GetParam());
+  for (int op = 0; op < 24000; ++op) {
+    // Phases bias toward inserts, then unlinks, so the tree grows past two
+    // inner levels and shrinks again.
+    const bool shrinking = (op / 6000) % 2 == 1;
+    const int64_t key = rng.NextInt(0, 6000);
+    const int64_t kind = rng.NextInt(0, 9);
+    if (kind < 4) {
+      if (shrinking && kind < 3) {
+        Record* rec = tree.Get(K(key)).record;
+        EXPECT_EQ(model.count(K(key)) > 0, rec != nullptr) << key;
+        if (rec == nullptr) continue;
+        rec->tid.store(kTombstone);
+        ASSERT_EQ(BTree::UnlinkResult::kUnlinked,
+                  tree.Unlink(K(key), rec, kTombstone));
+        delete rec;
+        model.erase(K(key));
+      } else {
+        tree.GetOrInsert(K(key));
+        model.insert(K(key));
+      }
+    } else if (kind < 8) {
+      if (shrinking) {
+        Record* rec = tree.Get(K(key)).record;
+        if (rec == nullptr) continue;
+        rec->tid.store(kTombstone);
+        ASSERT_EQ(BTree::UnlinkResult::kUnlinked,
+                  tree.Unlink(K(key), rec, kTombstone));
+        delete rec;
+        model.erase(K(key));
+      } else {
+        tree.GetOrInsert(K(key));
+        model.insert(K(key));
+      }
+    } else {
+      const int64_t hi = key + rng.NextInt(0, 300);
+      std::vector<std::string> got, got_rev;
+      tree.Scan(K(key), K(hi), [&got](const std::string& k, Record*) {
+        got.push_back(k);
+        return true;
+      });
+      tree.ReverseScan(K(key), K(hi),
+                       [&got_rev](const std::string& k, Record*) {
+                         got_rev.push_back(k);
+                         return true;
+                       });
+      std::vector<std::string> want(model.lower_bound(K(key)),
+                                    model.lower_bound(K(hi)));
+      EXPECT_EQ(want, got);
+      std::reverse(got_rev.begin(), got_rev.end());
+      EXPECT_EQ(want, got_rev);
+    }
+  }
+  EXPECT_EQ(model.size(), tree.size());
+  std::vector<std::string> all;
+  tree.Scan("", "", [&all](const std::string& k, Record*) {
+    all.push_back(k);
+    return true;
+  });
+  EXPECT_EQ(std::vector<std::string>(model.begin(), model.end()), all);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BTreeUnlinkModelTest,
+                         ::testing::Values(5, 17, 29, 41));
 
 // --- Table / Catalog --------------------------------------------------------
 

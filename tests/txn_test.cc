@@ -329,6 +329,292 @@ TEST_F(SiloTxnTest, ChunkedScanCrossesChunkBoundaries) {
   ASSERT_TRUE(txn.Commit(&tids_).ok());
 }
 
+// --- Tombstone reclamation ---------------------------------------------
+
+class ReclaimTest : public SiloTxnTest {
+ protected:
+  Status PutQueued(int64_t id, const std::string& owner, double balance,
+                   TidSource* tids, uint64_t* tid = nullptr) {
+    SiloTxn txn(&epochs_);
+    txn.BindReclaim(&reclaim_);
+    REACTDB_RETURN_IF_ERROR(
+        txn.Insert(&table_, {Value(id), Value(owner), Value(balance)}, 0));
+    StatusOr<uint64_t> committed = txn.Commit(tids);
+    if (committed.ok() && tid != nullptr) *tid = *committed;
+    return committed.status();
+  }
+
+  Status DeleteQueued(int64_t id, uint64_t* tid = nullptr) {
+    SiloTxn txn(&epochs_);
+    txn.BindReclaim(&reclaim_);
+    REACTDB_RETURN_IF_ERROR(txn.Delete(&table_, {Value(id)}, 0));
+    StatusOr<uint64_t> committed = txn.Commit(&tids_);
+    if (committed.ok() && tid != nullptr) *tid = *committed;
+    return committed.status();
+  }
+
+  ReclaimQueue reclaim_;
+};
+
+TEST_F(ReclaimTest, DeleteIsUnlinkedOnlyAfterTheEpochMoves) {
+  ASSERT_TRUE(Put(1, "alice", 100).ok());
+  ASSERT_TRUE(DeleteQueued(1).ok());
+  EXPECT_EQ(2u, reclaim_.size());  // the primary row and its index entry
+  EXPECT_FALSE(reclaim_.Ready(epochs_.current()));
+  EXPECT_EQ(0u, reclaim_.Drain(&epochs_));
+  EXPECT_EQ(1u, table_.primary().size());  // tombstone still in place
+  epochs_.Advance();
+  EXPECT_EQ(2u, reclaim_.Drain(&epochs_));
+  EXPECT_TRUE(reclaim_.empty());
+  EXPECT_EQ(0u, table_.primary().size());
+  EXPECT_EQ(0u, table_.secondary(0).size());
+  EXPECT_TRUE(Read(1).status().IsNotFound());
+  // The records are freed once no executor can hold them.
+  EXPECT_EQ(2u, epochs_.retired_record_count());
+  epochs_.Advance();
+  epochs_.Advance();
+  EXPECT_EQ(0u, epochs_.retired_record_count());
+}
+
+TEST_F(ReclaimTest, ReinsertAfterUnlinkCommitsAboveTheDeleteTid) {
+  // The deleter's TID source runs ahead of the re-inserter's (two
+  // executors): a re-insert on a fresh record observes no TID, so only the
+  // epoch rule orders it after the delete, as recovery's last-writer-wins
+  // replay needs.
+  tids_.NextCommitTid(TidWord::Make(1, 5000), epochs_.current());
+  TidSource other_executor;
+  ASSERT_TRUE(Put(1, "alice", 100).ok());
+  uint64_t delete_tid = 0;
+  ASSERT_TRUE(DeleteQueued(1, &delete_tid).ok());
+  // Same epoch: the tombstone stays, and the re-insert observes its TID.
+  EXPECT_EQ(0u, reclaim_.Drain(&epochs_));
+  uint64_t reinsert_tid = 0;
+  ASSERT_TRUE(PutQueued(1, "anna", 70, &other_executor, &reinsert_tid).ok());
+  EXPECT_GT(TidWord::Tid(reinsert_tid), TidWord::Tid(delete_tid));
+  // Next epoch: unlinked, and the re-insert on the fresh record still
+  // commits above the delete.
+  ASSERT_TRUE(DeleteQueued(1, &delete_tid).ok());
+  epochs_.Advance();
+  // alice's index entry, then anna's row and entry; the first row entry
+  // is stale (the re-insert reused that tombstone).
+  ASSERT_EQ(3u, reclaim_.Drain(&epochs_));
+  EXPECT_EQ(0u, table_.primary().size());
+  EXPECT_EQ(0u, table_.secondary(0).size());
+  ASSERT_TRUE(PutQueued(1, "anya", 60, &other_executor, &reinsert_tid).ok());
+  EXPECT_GT(TidWord::Tid(reinsert_tid), TidWord::Tid(delete_tid));
+  EXPECT_EQ("anya", (*Read(1))[1].AsString());
+}
+
+TEST_F(ReclaimTest, InserterRacingUnlinkAborts) {
+  ASSERT_TRUE(Put(1, "alice", 100).ok());
+  ASSERT_TRUE(DeleteQueued(1).ok());
+  // The inserter finds the tombstone and buffers over it ...
+  SiloTxn inserter(&epochs_);
+  inserter.BindReclaim(&reclaim_);
+  ASSERT_TRUE(inserter
+                  .Insert(&table_,
+                          {Value(int64_t{1}), Value("anna"), Value(70.0)}, 0)
+                  .ok());
+  // ... which is unlinked before it commits: installing would write to a
+  // record no lookup reaches.
+  epochs_.Advance();
+  ASSERT_EQ(2u, reclaim_.Drain(&epochs_));
+  StatusOr<uint64_t> result = inserter.Commit(&tids_);
+  EXPECT_TRUE(result.status().IsAborted()) << result.status();
+  EXPECT_TRUE(Read(1).status().IsNotFound());
+  ASSERT_TRUE(Put(1, "anna", 70).ok());  // a retry lands on a fresh record
+  EXPECT_EQ("anna", (*Read(1))[1].AsString());
+}
+
+TEST_F(ReclaimTest, ReaderRacingUnlinkAborts) {
+  for (int64_t i = 0; i < 3; ++i) ASSERT_TRUE(Put(i, "x", 1.0).ok());
+  ASSERT_TRUE(DeleteQueued(1).ok());
+  epochs_.Advance();
+  // A point reader that saw the tombstone ...
+  SiloTxn reader(&epochs_);
+  EXPECT_TRUE(reader.Get(&table_, {Value(int64_t{1})}, 0).status()
+                  .IsNotFound());
+  // ... and a scanner that reads key 1's record only after it was unlinked
+  // (the unlink runs from the callback for key 0, between collecting the
+  // candidates and reading them).
+  SiloTxn scanner(&epochs_);
+  int64_t rows = 0;
+  ASSERT_TRUE(scanner
+                  .Scan(&table_, {}, {}, -1,
+                        [&](const Row& row) {
+                          if (row[0].AsInt64() == 0) {
+                            EXPECT_EQ(2u, reclaim_.Drain(&epochs_));
+                          }
+                          ++rows;
+                          return true;
+                        },
+                        0)
+                  .ok());
+  EXPECT_EQ(2, rows);
+  // Either may be contradicted by a fresh record for the key, so neither
+  // commits.
+  EXPECT_TRUE(reader.Commit(&tids_).status().IsAborted());
+  EXPECT_TRUE(scanner.Commit(&tids_).status().IsAborted());
+}
+
+TEST_F(ReclaimTest, AbortedEagerInsertsAreReclaimed) {
+  {
+    SiloTxn txn(&epochs_);
+    txn.BindReclaim(&reclaim_);
+    ASSERT_TRUE(
+        txn.Insert(&table_, {Value(int64_t{7}), Value("eve"), Value(1.0)}, 0)
+            .ok());
+    txn.Abort();
+  }
+  EXPECT_EQ(1u, table_.primary().size());
+  EXPECT_EQ(2u, reclaim_.size());
+  epochs_.Advance();
+  EXPECT_EQ(2u, reclaim_.Drain(&epochs_));
+  EXPECT_EQ(0u, table_.primary().size());
+  EXPECT_EQ(0u, table_.secondary(0).size());
+  // An eager record another transaction committed over is left alone.
+  {
+    SiloTxn loser(&epochs_);
+    loser.BindReclaim(&reclaim_);
+    ASSERT_TRUE(
+        loser.Insert(&table_, {Value(int64_t{8}), Value("f"), Value(1.0)}, 0)
+            .ok());
+    ASSERT_TRUE(Put(8, "f", 2.0).ok());  // commits over the eager records
+    EXPECT_TRUE(loser.Commit(&tids_).status().IsAborted());
+  }
+  epochs_.Advance();
+  EXPECT_EQ(0u, reclaim_.Drain(&epochs_));
+  EXPECT_DOUBLE_EQ(2.0, (*Read(8))[2].AsNumeric());
+}
+
+TEST_F(ReclaimTest, LimitedScanTracksOnlyTheLeavesItNeeds) {
+  for (int64_t i = 0; i < 2000; ++i) ASSERT_TRUE(Put(i, "bulk", 1.0).ok());
+  SiloTxn txn(&epochs_);
+  int64_t rows = 0;
+  ASSERT_TRUE(txn.Scan(&table_, {}, {}, 1,
+                       [&rows](const Row&) {
+                         ++rows;
+                         return true;
+                       },
+                       0)
+                  .ok());
+  EXPECT_EQ(1, rows);
+  // 1 + slack candidates span at most two 64-key leaves, not the 1,024
+  // rows of a full chunk.
+  EXPECT_LE(txn.node_set_size(), 2u);
+  EXPECT_LE(txn.stats().scanned_leaves, 2u);
+  ASSERT_TRUE(txn.Commit(&tids_).ok());
+}
+
+// Tokens move between keys by delete + insert while other threads count
+// them by scan and by point reads, with every thread draining its own
+// reclaim queue and an epoch ticker running: unlinks race readers,
+// inserters and each other, and no committed reader may see the token
+// count differ from kTokens.
+TEST(SiloTxnConcurrency, ReclaimRacesKeepTokenCount) {
+  EpochManager epochs;
+  Table table(AccountSchema());
+  constexpr int64_t kKeys = 64;
+  constexpr int64_t kTokens = 16;
+  {
+    TidSource tids;
+    SiloTxn loader(&epochs);
+    for (int64_t i = 0; i < kTokens; ++i) {
+      ASSERT_TRUE(
+          loader.Insert(&table, {Value(i * 4), Value("t"), Value(1.0)}, 0)
+              .ok());
+    }
+    ASSERT_TRUE(loader.Commit(&tids).ok());
+  }
+  constexpr int kMovers = 2;
+  constexpr int kCounters = 2;
+  std::vector<size_t> slots;
+  for (int t = 0; t < kMovers + kCounters; ++t) {
+    slots.push_back(epochs.RegisterSlot());
+  }
+  epochs.StartTicker(1);
+  std::atomic<int> moves{0};
+  std::atomic<int> counts{0};
+  std::atomic<int> bad_counts{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kMovers + kCounters; ++t) {
+    threads.emplace_back([&, t] {
+      ReclaimQueue reclaim;
+      TidSource tids;
+      Rng rng(100 + static_cast<uint64_t>(t));
+      auto move_token = [&](SiloTxn& txn) {
+        int64_t from = rng.NextInt(0, kKeys - 1);
+        int64_t to = rng.NextInt(0, kKeys - 1);
+        if (from == to || !txn.Delete(&table, {Value(from)}, 0).ok() ||
+            !txn.Insert(&table, {Value(to), Value("t"), Value(1.0)}, 0)
+                 .ok()) {
+          txn.Abort();
+          return;
+        }
+        if (txn.Commit(&tids).ok()) moves++;
+      };
+      auto count_tokens = [&](SiloTxn& txn, bool by_scan) {
+        int64_t seen = 0;
+        if (by_scan) {
+          auto count = [&seen](const Row&) {
+            ++seen;
+            return true;
+          };
+          EXPECT_TRUE(txn.Scan(&table, {}, {}, -1, count, 0).ok());
+        } else {
+          for (int64_t k = 0; k < kKeys; ++k) {
+            seen += txn.Get(&table, {Value(k)}, 0).ok() ? 1 : 0;
+          }
+        }
+        if (txn.Commit(&tids).ok()) {
+          counts++;
+          if (seen != kTokens) bad_counts++;
+        }
+      };
+      const size_t slot = slots[static_cast<size_t>(t)];
+      for (int i = 0; i < 400; ++i) {
+        // Pinned like an executor, so unlinked records this transaction
+        // may still hold outlive it.
+        epochs.EnterEpoch(slot);
+        {
+          SiloTxn txn(&epochs);
+          txn.BindReclaim(&reclaim);
+          if (t < kMovers) {
+            move_token(txn);
+          } else {
+            count_tokens(txn, i % 2 == 0);
+          }
+        }
+        epochs.LeaveEpoch(slot);
+        if (reclaim.Ready(epochs.current())) reclaim.Drain(&epochs);
+      }
+      // Leave nothing queued: the final size check expects no tombstones.
+      while (!reclaim.empty()) {
+        reclaim.Drain(&epochs);
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  epochs.StopTicker();
+  EXPECT_GT(moves.load(), 0);
+  EXPECT_GT(counts.load(), 0);
+  EXPECT_EQ(0, bad_counts.load());
+  SiloTxn check(&epochs);
+  int64_t live = 0;
+  ASSERT_TRUE(check.Scan(&table, {}, {}, -1,
+                         [&live](const Row&) {
+                           ++live;
+                           return true;
+                         },
+                         0)
+                  .ok());
+  check.Abort();
+  EXPECT_EQ(kTokens, live);
+  // Drained queues leave no tombstones behind.
+  EXPECT_EQ(static_cast<size_t>(kTokens), table.primary().size());
+}
+
 TEST(EpochManager, ReclaimsOnlyWhenSafe) {
   EpochManager epochs;
   size_t slot = epochs.RegisterSlot();

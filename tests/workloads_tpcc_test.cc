@@ -116,6 +116,40 @@ TEST_F(TpccSimTest, OrderStatusDeliveryStockLevel) {
   EXPECT_TRUE(tpcc::CheckConsistency(rt_.get(), kWarehouses).ok());
 }
 
+// Delivered new-orders are unlinked from the tree, not left as tombstones
+// that every later Delivery scan walks.
+TEST_F(TpccSimTest, DeliveredNewOrdersLeaveTheTree) {
+  Reactor* w1 = rt_->FindReactor(WarehouseName(1));
+  Table* neworder = w1->FindTable(tpcc::kNewOrderSlot);
+  const size_t loaded = neworder->primary().size();
+  constexpr int kDeliveries = 30;
+  for (int i = 0; i < kDeliveries; ++i) {
+    ProcResult r = rt_->Execute(WarehouseName(1), "delivery",
+                                {Value(int64_t{1 + i % 10})});
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(tpcc::kNumDistricts, r->AsInt64());
+  }
+  // Quiescence: the epoch moves past the last delete, and the home
+  // executor's next finalization drains its reclaim queue.
+  rt_->epochs()->Advance();
+  ASSERT_TRUE(rt_->Execute(WarehouseName(1), "stock_level",
+                           {Value(int64_t{1}), Value(int64_t{15})})
+                  .ok());
+  int64_t live = 0;
+  ASSERT_TRUE(rt_->RunDirect([&](SiloTxn& txn) -> Status {
+                    return txn.Scan(neworder, {}, {}, -1,
+                                    [&live](const Row&) {
+                                      ++live;
+                                      return true;
+                                    },
+                                    w1->container_id());
+                  }).ok());
+  EXPECT_EQ(static_cast<int64_t>(loaded) - kDeliveries * tpcc::kNumDistricts,
+            live);
+  EXPECT_EQ(static_cast<size_t>(live), neworder->primary().size());
+  EXPECT_TRUE(tpcc::CheckConsistency(rt_.get(), kWarehouses).ok());
+}
+
 TEST_F(TpccSimTest, MixedClosedLoopKeepsConsistency) {
   tpcc::GeneratorOptions options;
   options.num_warehouses = kWarehouses;
