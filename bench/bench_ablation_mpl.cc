@@ -1,4 +1,4 @@
-// Ablation (beyond the paper, called out in DESIGN.md): effect of the
+// Ablation (beyond the paper): effect of the
 // per-executor multiprogramming level on the asynchronicity workload of
 // Figures 9/10. MPL 1 serializes each executor (no cooperative
 // multitasking); higher MPL lets executors overlap parked transactions.

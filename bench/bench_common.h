@@ -1,9 +1,9 @@
 // Shared helpers for the paper-reproduction benchmarks.
 //
 // Every bench binary regenerates one table or figure of the paper on the
-// simulated multi-core substrate (see DESIGN.md Section 3), prints the same
-// series the paper reports, and notes the paper's qualitative expectation
-// so EXPERIMENTS.md can record paper-vs-measured.
+// simulated multi-core substrate (src/runtime/sim_runtime.h), prints the
+// same series the paper reports, and notes the paper's qualitative
+// expectation next to it, so paper and measured shapes can be compared.
 
 #ifndef REACTDB_BENCH_BENCH_COMMON_H_
 #define REACTDB_BENCH_BENCH_COMMON_H_

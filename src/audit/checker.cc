@@ -61,21 +61,25 @@ uint32_t Checker::InternKey(uint32_t reactor, uint32_t slot,
   return it->second;
 }
 
-Checker::VersionList& Checker::Versions(uint32_t key_id) {
-  return versions_[key_id];
-}
-
-void Checker::AddVersion(uint32_t key_id, uint64_t tid) {
-  std::vector<uint64_t>& tids = versions_[key_id].tids;
+void Checker::AddVersion(uint32_t key_id, uint64_t tid, bool is_delete) {
+  VersionList& vl = versions_[key_id];
   // Streams arrive roughly in TID order per key, so the common insert is an
   // append; duplicates (the redo record and the audit record of the same
-  // transaction both register the version) merge silently.
-  if (tids.empty() || tids.back() < tid) {
-    tids.push_back(tid);
+  // transaction both register the version) merge silently, keeping the
+  // redo record's delete marker.
+  if (vl.tids.empty() || vl.tids.back() < tid) {
+    vl.tids.push_back(tid);
+    vl.deletes.push_back(is_delete);
   } else {
-    auto it = std::lower_bound(tids.begin(), tids.end(), tid);
-    if (it != tids.end() && *it == tid) return;
-    tids.insert(it, tid);
+    auto it = std::lower_bound(vl.tids.begin(), vl.tids.end(), tid);
+    const size_t pos = static_cast<size_t>(it - vl.tids.begin());
+    if (it != vl.tids.end() && *it == tid) {
+      if (is_delete) vl.deletes[pos] = true;
+      return;
+    }
+    vl.tids.insert(it, tid);
+    vl.deletes.insert(vl.deletes.begin() + static_cast<ptrdiff_t>(pos),
+                      is_delete);
   }
   ++stats_.versions;
 }
@@ -83,7 +87,7 @@ void Checker::AddVersion(uint32_t key_id, uint64_t tid) {
 void Checker::AddRedo(uint32_t container, const logrec::RedoRecord& rec) {
   const uint32_t key_id = InternKey(rec.reactor, rec.slot, rec.key);
   const uint64_t tid = TidWord::Tid(rec.tid);
-  AddVersion(key_id, tid);
+  AddVersion(key_id, tid, rec.kind == logrec::RecordKind::kDelete);
   // Track the current same-TID run of this stream: a commit's redo records
   // are appended under one lock hold, so they form a contiguous run that
   // the commit's audit record (appended under the same hold) adopts as its
@@ -98,7 +102,8 @@ void Checker::AddRedo(uint32_t container, const logrec::RedoRecord& rec) {
 }
 
 void Checker::AddCheckpointRow(const logrec::RedoRecord& rec) {
-  AddVersion(InternKey(rec.reactor, rec.slot, rec.key), TidWord::Tid(rec.tid));
+  AddVersion(InternKey(rec.reactor, rec.slot, rec.key), TidWord::Tid(rec.tid),
+             rec.kind == logrec::RecordKind::kDelete);
 }
 
 void Checker::AddAudit(uint32_t container, logrec::AuditRecord&& rec) {
@@ -130,7 +135,7 @@ void Checker::AddAudit(uint32_t container, logrec::AuditRecord&& rec) {
     for (const logrec::AuditRecord::Write& wr : rec.writes) {
       uint32_t key_id = InternKey(wr.reactor, wr.slot, wr.key);
       node.writes.push_back(key_id);
-      AddVersion(key_id, rec.tid);
+      AddVersion(key_id, rec.tid, /*is_delete=*/false);
     }
   }
   stats_.txns++;
@@ -226,7 +231,8 @@ void Checker::CheckEpoch(uint64_t epoch, std::vector<TxnNode>& nodes) {
   // WR and RW edges from the read observations.
   for (uint32_t i = 0; i < n; ++i) {
     for (const ReadObs& rd : nodes[i].reads) {
-      const std::vector<uint64_t>& tids = versions_[rd.key].tids;
+      const VersionList& vl = versions_[rd.key];
+      const std::vector<uint64_t>& tids = vl.tids;
       uint64_t obs = TidWord::Tid(rd.observed);
       if (obs == 0 && TidWord::IsAbsent(rd.observed)) {
         // A fresh record. Once a tombstone is unlinked a later lookup
@@ -234,10 +240,23 @@ void Checker::CheckEpoch(uint64_t epoch, std::vector<TxnNode>& nodes) {
         // key's latest version before the read. Tombstones are unlinked
         // only after the epoch moved past the delete's, and any version
         // committed between the read and this commit fails validation, so
-        // that version is the latest one from an epoch before this one.
+        // that version is the latest one from an epoch before this one —
+        // and it must be a delete, or nothing could have unlinked it.
         auto before = std::lower_bound(tids.begin(), tids.end(),
                                        TidWord::Make(epoch, 0));
-        if (before != tids.begin()) obs = *(before - 1);
+        if (before != tids.begin()) {
+          obs = *(before - 1);
+          if (!vl.deletes[static_cast<size_t>(before - 1 - tids.begin())]) {
+            Report(ViolationKind::kUnknownVersion, epoch, nodes[i],
+                   "read of " + DescribeKey(rd.key) +
+                       " observed a fresh record's absent state, but the "
+                       "key's latest earlier version " +
+                       std::to_string(obs) + " (epoch " +
+                       std::to_string(TidWord::Epoch(obs)) +
+                       ") is not a delete");
+            continue;
+          }
+        }
       }
       const uint64_t obs_epoch = TidWord::Epoch(obs);
       if (obs != 0 && obs_epoch > epoch) {
@@ -400,7 +419,11 @@ void Checker::Prune(uint64_t horizon) {
            TidWord::Epoch(tids[first_kept + 1]) < horizon) {
       ++first_kept;
     }
-    if (first_kept > 0) tids.erase(tids.begin(), tids.begin() + first_kept);
+    if (first_kept > 0) {
+      const auto n = static_cast<ptrdiff_t>(first_kept);
+      tids.erase(tids.begin(), tids.begin() + n);
+      vl.deletes.erase(vl.deletes.begin(), vl.deletes.begin() + n);
+    }
   }
 }
 

@@ -58,8 +58,9 @@
 // the next insert of the key creates a fresh record whose absent word
 // carries TID 0. Such an observation is resolved to the key's latest
 // version from an epoch before the reader's (the unlinked tombstone's
-// state; see CheckEpoch). The checker does not know which versions are
-// deletes, so it does not verify that the resolved version is one.
+// state; see CheckEpoch). Versions remember whether they are deletes (the
+// redo record's tombstone marker), and a resolved version that is not one
+// is kUnknownVersion: only a delete can leave a key recordless.
 
 #ifndef REACTDB_AUDIT_CHECKER_H_
 #define REACTDB_AUDIT_CHECKER_H_
@@ -178,8 +179,9 @@ class Checker {
     std::vector<uint32_t> writes;  // interned key ids
   };
   struct VersionList {
-    std::vector<uint64_t> tids;  // sorted ascending once `sorted`
-    bool sorted = true;
+    std::vector<uint64_t> tids;  // ascending
+    /// Parallel to `tids`: the version is a delete (tombstone).
+    std::vector<bool> deletes;
   };
   /// Current contiguous run of same-TID redo records in one container
   /// stream — the pending write set of the audit record that follows it.
@@ -189,8 +191,7 @@ class Checker {
   };
 
   uint32_t InternKey(uint32_t reactor, uint32_t slot, std::string_view key);
-  void AddVersion(uint32_t key_id, uint64_t tid);
-  VersionList& Versions(uint32_t key_id);
+  void AddVersion(uint32_t key_id, uint64_t tid, bool is_delete);
   void CheckEpoch(uint64_t epoch, std::vector<TxnNode>& nodes);
   void Prune(uint64_t horizon);
   void Report(ViolationKind kind, uint64_t epoch, const TxnNode& node,

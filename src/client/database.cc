@@ -293,13 +293,17 @@ void Database::Shutdown() {
     sim_->RunAll();        // quiesce: every submitted root finalizes
     sim_->StopAccepting();  // post-shutdown submissions fail fast
   }
-  if (rt_->durability() != nullptr && !rt_->durability()->halted()) {
-    // Clean shutdown makes everything durable: stop the writers, then
-    // drain the shards to disk so a reopen recovers the complete history.
+  if (rt_->durability() != nullptr) {
+    // Stop the writers even when halted: they call back into the runtime,
+    // which must not be mid-destruction while one is still running.
     rt_->durability()->StopWriters();
-    Status s = rt_->durability()->FinalFlush();
-    if (!s.ok()) {
-      REACTDB_LOG(kError) << "final log flush failed: " << s;
+    // Clean shutdown makes everything durable: drain the shards to disk so
+    // a reopen recovers the complete history.
+    if (!rt_->durability()->halted()) {
+      Status s = rt_->durability()->FinalFlush();
+      if (!s.ok()) {
+        REACTDB_LOG(kError) << "final log flush failed: " << s;
+      }
     }
   }
   if (rt_->auditor() != nullptr) {

@@ -535,6 +535,9 @@ void DurabilityManager::StartWriters() {
   if (writers_running_) return;
   writers_running_ = true;
   stop_writers_ = false;
+  // One origin for every writer: round k of each container is due at
+  // origin + k * interval, so a round's per-container seals land together.
+  writer_origin_ = std::chrono::steady_clock::now();
   for (int c = 0; c < num_containers_; ++c) {
     logs_[static_cast<size_t>(c)]->thread =
         std::thread([this, c] { WriterLoop(c); });
@@ -571,13 +574,29 @@ void DurabilityManager::WriterLoop(int c) {
   ContainerLog* cl = logs_[static_cast<size_t>(c)].get();
   auto interval = std::chrono::microseconds(
       static_cast<int64_t>(std::max(options_.flush_interval_us, 100.0)));
+  std::chrono::steady_clock::time_point deadline = writer_origin_ + interval;
   for (;;) {
+    // Once a slot has come due (whether a timer or a request woke the
+    // round that served it), wait for the next one. A round whose work ran
+    // past that one too skips to the first future slot: late rounds never
+    // run back to back to catch up, and the schedule never shifts.
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) {
+      deadline += interval;
+      if (now >= deadline) {
+        stats_.round_overruns.fetch_add(1, std::memory_order_relaxed);
+        deadline += (now - deadline) / interval * interval + interval;
+      }
+    }
     {
       std::unique_lock<std::mutex> lock(writer_mu_);
-      cl->cv.wait_for(lock, interval, [this] {
+      cl->cv.wait_until(lock, deadline, [this] {
         return stop_writers_ || flush_requested_;
       });
       if (stop_writers_) return;
+      // A halted manager seals nothing more and has released its durable
+      // waiters; a request left standing would keep every writer spinning.
+      if (halted()) flush_requested_ = false;
       if (!options_.auto_flush && !flush_requested_) continue;
     }
     if (halted()) continue;

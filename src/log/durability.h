@@ -32,9 +32,10 @@
 // without outside help.
 //
 // Drivers: ThreadRuntime starts one real writer thread per container
-// (StartWriters/StopWriters); SimRuntime schedules FlushRound as discrete
-// events and charges CostParams::log_* virtual time before publishing the
-// watermark (a simulated device — zero-cost by default).
+// (StartWriters/StopWriters) on a shared fixed-deadline schedule (see
+// DurabilityOptions::flush_interval_us); SimRuntime schedules FlushRound as
+// discrete events and charges CostParams::log_* virtual time before
+// publishing the watermark (a simulated device — zero-cost by default).
 //
 // I/O failures latch a StatusCode::kIOError (io_status()) and halt the
 // watermark instead of aborting the process; wait_durable delivery treats a
@@ -45,6 +46,7 @@
 #define REACTDB_LOG_DURABILITY_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -88,6 +90,17 @@ struct DurabilityOptions {
   /// Writer cadence: real microseconds between flush rounds on
   /// ThreadRuntime, virtual microseconds of kick-to-flush delay on
   /// SimRuntime (the group-commit window).
+  ///
+  /// On ThreadRuntime the rounds run on fixed deadlines shared by every
+  /// writer: StartWriters takes one origin, and round k of each container
+  /// is due at origin + k * interval (at least 100 us), however long a
+  /// round takes. A round whose work (frame write, fsync, and — on the
+  /// writer that advances the durable epoch — every durable listener,
+  /// session deliveries included) runs past the next deadline skips to the
+  /// first future slot instead of running late rounds back to back, and
+  /// counts in DurabilityStats::round_overruns. A flush request (Kick with
+  /// `force`, WaitDurable, final flush) wakes the writers early without
+  /// moving the schedule.
   double flush_interval_us = 2000;
   /// Reserve of each per-executor shard buffer (steady-state appends never
   /// touch the allocator below this high-water mark).
@@ -107,6 +120,11 @@ struct DurabilityStats {
   std::atomic<uint64_t> fsyncs{0};
   std::atomic<uint64_t> bytes_written{0};
   std::atomic<uint64_t> records_logged{0};
+  /// Times a ThreadRuntime writer (any container) came back to wait with
+  /// the next round's deadline already past and skipped to a later slot:
+  /// its round's work (fsync plus durable listeners) no longer fits
+  /// flush_interval_us, or the host stalled it.
+  std::atomic<uint64_t> round_overruns{0};
 };
 
 /// One closed or active log segment file of a container.
@@ -181,8 +199,11 @@ class DurabilityManager {
   bool halted() const { return halted_.load(std::memory_order_acquire); }
   Status io_status() const;
 
-  /// Listeners run on the flushing context (writer thread / sim event)
-  /// after every durable-epoch advance and once on halt.
+  /// Listeners run on the flushing context after every durable-epoch
+  /// advance and once on halt: on ThreadRuntime, the thread of whichever
+  /// writer published the advance (so their time, wait_durable session
+  /// deliveries included, is part of that writer's round); on SimRuntime,
+  /// the flush event.
   using Listener = std::function<void(uint64_t durable_epoch)>;
   size_t AddListener(Listener listener);
   void RemoveListener(size_t id);
@@ -312,6 +333,9 @@ class DurabilityManager {
   bool writers_running_ = false;
   bool stop_writers_ = false;
   bool flush_requested_ = false;
+  /// Shared round schedule origin, set by StartWriters before the writer
+  /// threads start.
+  std::chrono::steady_clock::time_point writer_origin_;
 
   mutable std::mutex listeners_mu_;
   std::vector<std::pair<size_t, Listener>> listeners_;

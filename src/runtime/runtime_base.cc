@@ -408,6 +408,9 @@ void RuntimeBase::CollectRuntimeSamples(
             static_cast<double>(d.flush_rounds.load()));
     counter("reactdb_log_records_total", "Redo records logged",
             static_cast<double>(d.records_logged.load()));
+    counter("reactdb_log_round_overruns_total",
+            "Writer rounds that ran past the next deadline (slots skipped)",
+            static_cast<double>(d.round_overruns.load()));
   }
 
   if (auditor_ != nullptr) {

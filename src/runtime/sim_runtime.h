@@ -11,8 +11,8 @@
 // busy-until mechanics.
 //
 // This substitutes for the paper's 8- and 32-hardware-thread evaluation
-// machines (see DESIGN.md Section 3); it is single-threaded and fully
-// deterministic given workload seeds.
+// machines; it is single-threaded and fully deterministic given workload
+// seeds.
 
 #ifndef REACTDB_RUNTIME_SIM_RUNTIME_H_
 #define REACTDB_RUNTIME_SIM_RUNTIME_H_

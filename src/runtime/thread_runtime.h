@@ -8,8 +8,8 @@
 // Section 3.2.3 thread management without kernel context switches.
 //
 // This runtime is fully functional on any core count and backs the unit and
-// integration tests; the paper-figure benchmarks use SimRuntime (see
-// DESIGN.md Section 3 on the hardware substitution).
+// integration tests; the paper-figure benchmarks use SimRuntime, which
+// stands in for the paper's evaluation machines (src/runtime/sim_runtime.h).
 
 #ifndef REACTDB_RUNTIME_THREAD_RUNTIME_H_
 #define REACTDB_RUNTIME_THREAD_RUNTIME_H_

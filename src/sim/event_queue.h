@@ -5,7 +5,7 @@
 // core. All application logic, storage operations, and concurrency control
 // execute for real; only *time* is virtual, advanced by calibrated
 // per-operation costs. This substitutes for the 8/32-hardware-thread
-// machines of the paper's evaluation (see DESIGN.md Section 3).
+// machines of the paper's evaluation.
 
 #ifndef REACTDB_SIM_EVENT_QUEUE_H_
 #define REACTDB_SIM_EVENT_QUEUE_H_

@@ -10,8 +10,8 @@
 // sub-transaction per root transaction (the Section 2.2.4 safety
 // condition).
 //
-// Scale-down relative to the spec (documented in DESIGN.md/EXPERIMENTS.md;
-// the workload *shape* per transaction is unchanged):
+// Scale-down relative to the spec (the workload *shape* per transaction is
+// unchanged):
 //   items / stock per warehouse   10,000  (spec: 100,000)
 //   customers per district         1,000  (spec: 3,000)
 //   initial orders per district      300  (spec: 3,000)

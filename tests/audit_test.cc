@@ -1,11 +1,13 @@
 // Isolation-audit subsystem tests (PR 9, src/audit/):
 //  * Checker unit tests — every violation kind (cycle, stale read, future
-//    read, unknown version, duplicate version) plus the trust boundary and
-//    the windowed-pruning floor, against hand-built histories;
+//    read, unknown version, duplicate version) plus the trust boundary, the
+//    windowed-pruning floor and fresh-record (absent@0) reads, against
+//    hand-built histories;
 //  * deterministic end-to-end lost updates: two manually interleaved
 //    SiloTxns where the second commit skips validation
 //    (set_skip_validation), on both runtimes — the offline checker must
 //    detect the violation and pinpoint the offending transaction;
+//  * a fabricated absent@0 read of a live key, appended to the real log;
 //  * clean audited runs: online auditor status + reactdb_audit_* metrics,
 //    offline re-check, and recovery interop (audited segments recover with
 //    audit off; un-audited logs audit clean with zero txns).
@@ -227,34 +229,86 @@ TEST(Checker, FinalizeIsIdempotentAndMonotonic) {
   EXPECT_EQ(5u, checker.finalized_epoch());
 }
 
+logrec::RedoRecord Redo(uint32_t slot, const std::string& key, uint64_t tid,
+                        logrec::RecordKind kind) {
+  logrec::RedoRecord r;
+  r.kind = kind;
+  r.reactor = 0;
+  r.slot = slot;
+  r.key = key;
+  r.tid = tid;
+  return r;
+}
+
+/// Feeds a live-capture commit: its redo records, then its audit record
+/// with no write section (the checker adopts the redo run).
+void Commit(Checker* checker, uint32_t container, uint64_t tid,
+            std::vector<AuditRecord::Read> reads,
+            std::vector<logrec::RedoRecord> redo) {
+  for (const logrec::RedoRecord& r : redo) checker->AddRedo(container, r);
+  checker->AddAudit(container, Txn(tid, std::move(reads), {}));
+}
+
 TEST(Checker, FreshRecordAbsenceIsTheUnlinkedTombstone) {
   // I inserts k (epoch 5), D deletes it (epoch 6), the tombstone is
   // unlinked, and R re-inserts k in epoch 8 over a fresh record, whose
   // absent word carries TID 0. R observed D's absent state, not the state
   // before I: no stale read.
-  Checker checker;
+  using logrec::RecordKind;
   const uint64_t ins = TidWord::Make(5, 1);
   const uint64_t del = TidWord::Make(6, 1);
   const uint64_t re = TidWord::Make(8, 1);
-  checker.AddAudit(0, Txn(ins, {}, {Write(0, "k")}));
-  checker.AddAudit(0, Txn(del, {Read(0, "k", ins)}, {Write(0, "k")}));
-  checker.AddAudit(0, Txn(re, {Read(0, "k", TidWord::kAbsentBit)},
-                          {Write(0, "k")}));
+  auto history = [&](Checker* c) {
+    Commit(c, 0, ins, {}, {Redo(0, "k", ins, RecordKind::kPut)});
+    Commit(c, 0, del, {Read(0, "k", ins)},
+           {Redo(0, "k", del, RecordKind::kDelete)});
+    Commit(c, 0, re, {Read(0, "k", TidWord::kAbsentBit)},
+           {Redo(0, "k", re, RecordKind::kPut)});
+  };
+  Checker checker;
+  history(&checker);
   checker.FinalizeUpTo(8);
   EXPECT_TRUE(checker.clean())
       << audit::FormatViolation(checker.violations().front());
   // Versions from R's own epoch are successors, not what R read: two
   // re-inserters over one absent state form a lost-update cycle.
   Checker lost;
-  lost.AddAudit(0, Txn(ins, {}, {Write(0, "k")}));
-  lost.AddAudit(0, Txn(del, {Read(0, "k", ins)}, {Write(0, "k")}));
-  lost.AddAudit(0, Txn(re, {Read(0, "k", TidWord::kAbsentBit)},
-                       {Write(0, "k")}));
-  lost.AddAudit(1, Txn(TidWord::Make(8, 0),
-                       {Read(0, "k", TidWord::kAbsentBit)}, {Write(0, "k")}));
+  history(&lost);
+  Commit(&lost, 1, TidWord::Make(8, 0), {Read(0, "k", TidWord::kAbsentBit)},
+         {Redo(0, "k", TidWord::Make(8, 0), RecordKind::kPut)});
   lost.FinalizeUpTo(8);
   ASSERT_FALSE(lost.clean());
   EXPECT_EQ(ViolationKind::kCycle, lost.violations().front().kind);
+}
+
+TEST(Checker, FreshRecordAbsenceOfALiveKeyIsUnknownVersion) {
+  // Mutant: R claims k was recordless although k's latest version before
+  // R's epoch is a live put — nothing unlinked it, so the absent@0 read is
+  // fabricated.
+  using logrec::RecordKind;
+  const uint64_t ins = TidWord::Make(5, 1);
+  const uint64_t upd = TidWord::Make(6, 1);
+  const uint64_t re = TidWord::Make(8, 1);
+  Checker checker;
+  Commit(&checker, 0, ins, {}, {Redo(0, "k", ins, RecordKind::kPut)});
+  Commit(&checker, 0, upd, {Read(0, "k", ins)},
+         {Redo(0, "k", upd, RecordKind::kPut)});
+  Commit(&checker, 0, re, {Read(0, "k", TidWord::kAbsentBit)},
+         {Redo(0, "k", re, RecordKind::kPut)});
+  checker.FinalizeUpTo(8);
+  ASSERT_EQ(1u, checker.violations().size());
+  const Violation& v = checker.violations().front();
+  EXPECT_EQ(ViolationKind::kUnknownVersion, v.kind);
+  EXPECT_EQ(re, v.tid);
+  EXPECT_NE(std::string::npos, v.detail.find("is not a delete")) << v.detail;
+  // An explicit write section carries no delete marker either: a version
+  // known only from it is not a delete.
+  Checker tool;
+  tool.AddAudit(0, Txn(ins, {}, {Write(0, "k")}));
+  tool.AddAudit(0, Txn(re, {Read(0, "k", TidWord::kAbsentBit)}, {}));
+  tool.FinalizeUpTo(8);
+  ASSERT_FALSE(tool.clean());
+  EXPECT_EQ(ViolationKind::kUnknownVersion, tool.violations().front().kind);
 }
 
 // --- Deterministic end-to-end lost update ------------------------------------
@@ -480,6 +534,41 @@ TEST(AuditEndToEnd, DeleteUnlinkReinsertAuditsClean) {
 
 // Mixed redo+audit segments recover through the pre-audit replay path: a
 // reopen with audit off must fully recover the audited run's state.
+// Mutant: a commit whose digest claims the savings row of a loaded
+// customer was recordless (absent@0), appended straight to the log. The
+// key's latest earlier version is the load's put, not a delete, so both
+// the online and the offline checker must flag it.
+TEST(AuditEndToEnd, FabricatedAbsentReadOfLiveKeyIsCaught) {
+  std::string dir = FreshDir("absent_live");
+  Rig rig(Database::Sim(), dir);
+  Table* savings =
+      rig.db.FindReactor(CustomerName(0))->FindTable(smallbank::kSavingsSlot);
+  const std::string key = savings->EncodePrimaryKey({Value(kCustId)});
+  EpochManager* epochs = rig.db.runtime()->epochs();
+  epochs->Advance();  // the fabricated read's epoch follows the load's
+  const uint64_t tid = TidWord::Make(epochs->current(), 1);
+  logrec::AuditReadView read;
+  read.reactor = savings->durable_reactor().value;
+  read.slot = savings->durable_slot().value;
+  read.key = key.data();
+  read.key_size = static_cast<uint32_t>(key.size());
+  read.observed = TidWord::kAbsentBit;
+  rig.db.durability()->direct_shard()->AppendTxnAudit(tid, &read, 1, nullptr,
+                                                      0);
+  rig.db.WaitDurable();
+  rig.db.Shutdown();
+
+  EXPECT_TRUE(rig.db.AuditStatus().violation)
+      << "online auditor missed the fabricated absent read";
+  auto offline = AuditDirectory(dir);
+  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+  ASSERT_FALSE(offline->clean()) << "offline checker missed the absent read";
+  const Violation& v = offline->violations.front();
+  EXPECT_EQ(ViolationKind::kUnknownVersion, v.kind) << audit::FormatViolation(v);
+  EXPECT_EQ(tid, v.tid);
+  EXPECT_NE(std::string::npos, v.detail.find("is not a delete")) << v.detail;
+}
+
 TEST(AuditEndToEnd, AuditedSegmentsRecoverWithAuditOff) {
   std::string dir = FreshDir("recover_interop");
   double balance_before = 0;

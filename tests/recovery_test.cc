@@ -3,13 +3,17 @@
 // mid-checkpoint), exact-state equivalence against a reference run
 // truncated at the recovered durable epoch, secondary index rebuild,
 // wait_durable semantics, checkpoint truncation, and TID re-seeding —
-// on both runtimes.
+// on both runtimes — plus the thread-mode group-commit cadence.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/fault/fault.h"
@@ -600,6 +604,143 @@ TEST(Recovery, ThreadRuntimeWaitDurableSurvivesCrash) {
     EXPECT_NEAR(expected, total, 1e-6);
     db.Shutdown();
   }
+}
+
+// --- Thread runtime: group-commit cadence ------------------------------------
+
+constexpr double kCadenceIntervalUs = 20000;
+
+struct CadenceRun {
+  uint64_t rounds = 0;
+  uint64_t overruns = 0;
+  double elapsed_us = 0;
+  /// Median time from one durable advance's listener return to the next
+  /// advance's listener entry: the writer's idle time between rounds.
+  double median_idle_us = 0;
+};
+
+/// Runs steady deposits for ~1 s on a one-container thread-mode database
+/// with a 20 ms group commit and a durable listener that sleeps
+/// `listener_sleep_us` on every advance (the single writer publishes every
+/// advance, so the sleep is part of each round). Reports the writer rounds
+/// and overruns counted over the measured window.
+CadenceRun RunCadence(const std::string& dir, double listener_sleep_us) {
+  using Clock = std::chrono::steady_clock;
+  ReactorDatabaseDef def;
+  smallbank::BuildDef(&def, kCustomers);
+  Database db;
+  Database::Options o;  // threads
+  o.data_dir = dir;
+  o.log_flush_interval_us = kCadenceIntervalUs;
+  CadenceRun run;
+  Status open = db.Open(&def, DeploymentConfig::SharedNothing(1), o);
+  EXPECT_TRUE(open.ok()) << open;
+  if (!open.ok()) return run;
+  EXPECT_TRUE(smallbank::Load(db.runtime(), kCustomers).ok());
+  log::DurabilityManager* mgr = db.durability();
+  // Written on the publishing writer only; RemoveListener below is the
+  // barrier before the test reads them.
+  Clock::time_point last_exit{};
+  std::vector<double> idle_us;
+  size_t listener = mgr->AddListener([&, listener_sleep_us](uint64_t) {
+    const Clock::time_point entry = Clock::now();
+    if (last_exit != Clock::time_point{}) {
+      idle_us.push_back(
+          std::chrono::duration<double, std::micro>(entry - last_exit)
+              .count());
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        static_cast<int64_t>(listener_sleep_us)));
+    last_exit = Clock::now();
+  });
+  auto session = db.CreateSession();
+  const uint64_t rounds0 = mgr->stats().flush_rounds.load();
+  const uint64_t overruns0 = mgr->stats().round_overruns.load();
+  const Clock::time_point start = Clock::now();
+  for (int i = 0; Clock::now() - start < std::chrono::seconds(1); ++i) {
+    client::TxnOutcome out = session->Execute(
+        db.ResolveReactor(CustomerName(i % kCustomers)),
+        smallbank::kTransactSavingProc, {Value(1.0)});
+    EXPECT_TRUE(out.ok()) << out.status();
+  }
+  run.rounds = mgr->stats().flush_rounds.load() - rounds0;
+  run.overruns = mgr->stats().round_overruns.load() - overruns0;
+  run.elapsed_us =
+      std::chrono::duration<double, std::micro>(Clock::now() - start).count();
+  mgr->RemoveListener(listener);
+  if (!idle_us.empty()) {
+    std::nth_element(idle_us.begin(), idle_us.begin() + idle_us.size() / 2,
+                     idle_us.end());
+    run.median_idle_us = idle_us[idle_us.size() / 2];
+  }
+  session.reset();
+  db.Shutdown();
+  return run;
+}
+
+// Round work (here an 8 ms listener) must not stretch the group-commit
+// period: rounds stay on their 20 ms deadlines (~50 per second). Sleeping
+// a full interval after each round instead gives periods of >= 28 ms, at
+// most ~36 rounds per second.
+TEST(Recovery, ThreadWritersKeepTheirIntervalUnderRoundWork) {
+  CadenceRun run = RunCadence(FreshDir("cadence"), 8000);
+  const double slots = run.elapsed_us / kCadenceIntervalUs;
+  EXPECT_GE(static_cast<double>(run.rounds), 0.8 * slots)
+      << run.rounds << " rounds in " << run.elapsed_us << " us";
+}
+
+// A round that runs past the next deadlines (a listener sleeping 2.5
+// intervals) skips the missed slots instead of catching up back to back,
+// and counts as an overrun. Each round then ends ~50 ms into its 60 ms
+// stretch, so the writer idles ~10 ms before the next one; a catch-up
+// round would start right away, after only the frame write and fsync.
+TEST(Recovery, ThreadWriterOverrunsSkipMissedSlotsAndCount) {
+  CadenceRun run = RunCadence(FreshDir("overrun"), 2.5 * kCadenceIntervalUs);
+  const double slots = run.elapsed_us / kCadenceIntervalUs;
+  EXPECT_GT(run.rounds, 0u);
+  EXPECT_LE(static_cast<double>(run.rounds), slots + 1)
+      << run.rounds << " rounds in " << run.elapsed_us << " us";
+  EXPECT_GE(run.overruns, 1u);
+  EXPECT_LE(run.overruns, run.rounds + 1);
+  EXPECT_GE(run.median_idle_us, kCadenceIntervalUs / 4);
+}
+
+double ProcessCpuMs() {
+  rusage ru;
+  getrusage(RUSAGE_SELF, &ru);
+  auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) / 1e3;
+  };
+  return ms(ru.ru_utime) + ms(ru.ru_stime);
+}
+
+// After an I/O error latches, the flush request a WaitDurable left standing
+// must not keep the writers awake: they sleep to their next slot like idle
+// writers instead of spinning on the satisfied wait.
+TEST(Recovery, ThreadWritersIdleAfterLatchedError) {
+  Database::Options o;  // threads
+  o.data_dir = FreshDir("latched_idle");
+  o.log_flush_interval_us = kCadenceIntervalUs;
+  o.fault.enabled = true;
+  o.fault.seed = 7;
+  o.fault.file_fsync.probability = 1;
+  o.fault.file_fsync.after_n = 1'000'000'000;
+  SmallbankRig rig(o);
+  ASSERT_TRUE(rig.open_status.ok()) << rig.open_status;
+  fault::SiteSpec die;
+  die.probability = 1;
+  die.max_fires = 1;
+  rig.db->fault_injector()->Arm("log.fsync", die);
+  RunDeposits(*rig.db, 4);
+  rig.db->WaitDurable();
+  ASSERT_TRUE(rig.db->durability()->halted());
+  rig.db->WaitDurable();  // a request made after the latch
+  const double cpu0 = ProcessCpuMs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(ProcessCpuMs() - cpu0, 100.0)
+      << "CPU burnt by an idle, halted database in 300 ms";
+  rig.db->Shutdown();
 }
 
 // An injected fsync failure latches kIOError exactly like a real device:
